@@ -370,61 +370,6 @@ def _fast_path_bench(workload, seed):
     return runner
 
 
-def _columnar_bench(workload, seed):
-    """A fast-vs-columnar engine benchmark (docs/VECTORIZATION.md).
-
-    Same discipline as :func:`_fast_path_bench` — shared workload
-    builder, interleaved runs, best of three, ``time.process_time`` —
-    but the two machines are the fast tier and the columnar tier, so
-    the gated ``columnar_over_fast`` ratio isolates what the packed
-    columns and the fused batch kernel buy over the already-inlined
-    fast engine.  The columnar tier must be behaviourally invisible:
-    a virtual-cycle mismatch is a failed outcome, not a timing number.
-    """
-
-    def runner():
-        from repro.machine import Machine
-        from repro.machine.attacker import AttackerView
-        from repro.machine.configs import tiny_test_config
-
-        best = {"fast": None, "columnar": None}
-        cycles = {}
-        for _ in range(3):
-            for tier in ("fast", "columnar"):
-                config = tiny_test_config(seed=seed)
-                machine = Machine(config, fast_path=tier)
-                attacker = AttackerView(machine, machine.boot_process())
-                hot_loop = workload(machine, attacker)
-                started = time.process_time()
-                hot_loop()
-                elapsed = time.process_time() - started
-                if best[tier] is None or elapsed < best[tier]:
-                    best[tier] = elapsed
-                cycles[tier] = machine.cycles
-        fast_seconds = best["fast"]
-        columnar_seconds = best["columnar"]
-        cycles_equal = cycles["fast"] == cycles["columnar"]
-        return {
-            "machine": "tiny-test",
-            "config_fingerprint": config_fingerprint(tiny_test_config(seed=seed)),
-            "timings": {
-                "fast_seconds": round(fast_seconds, 6),
-                "columnar_seconds": round(columnar_seconds, 6),
-                # Gated ratio (lower is better; time.* regress upward):
-                # immune to absolute host speed, so it travels between
-                # machines far better than the raw seconds.
-                "columnar_over_fast": round(columnar_seconds / fast_seconds, 4),
-                "virtual_cycles": cycles["columnar"],
-            },
-            "outcome": {
-                "speedup": round(fast_seconds / columnar_seconds, 3),
-                "cycles_equal": 1 if cycles_equal else 0,
-            },
-        }
-
-    return runner
-
-
 def _warm_start_bench():
     """Cold per-trial setup vs snapshot restore (docs/SNAPSHOTS.md).
 
@@ -633,20 +578,6 @@ register_bench(
         "eviction-sweep",
         "reference vs fast engine on eviction sweeps",
         _fast_path_bench(_eviction_sweep_workload, seed=13),
-    )
-)
-register_bench(
-    BenchSpec(
-        "columnar-hammer-loop",
-        "fast vs columnar engine on real hammer rounds",
-        _columnar_bench(_hammer_loop_workload, seed=11),
-    )
-)
-register_bench(
-    BenchSpec(
-        "columnar-eviction-sweep",
-        "fast vs columnar engine on eviction sweeps",
-        _columnar_bench(_eviction_sweep_workload, seed=13),
     )
 )
 register_bench(

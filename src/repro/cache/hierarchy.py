@@ -25,7 +25,7 @@ L1, L2, LLC, MEM = "l1", "l2", "llc", "mem"
 class CacheHierarchy:
     """L1D + L2 + sliced inclusive LLC, addressed by physical address."""
 
-    def __init__(self, config, rng, trace=None, fast=False, columnar=False):
+    def __init__(self, config, rng, trace=None, fast=False):
         self.config = config
         #: Trace bus for structured events (docs/OBSERVABILITY.md).
         self._trace = trace if trace is not None else NULL_TRACE
@@ -35,39 +35,29 @@ class CacheHierarchy:
         #: implementations, so REPRO_FAST_PATH=0 measures the true
         #: reference cost (docs/PERFORMANCE.md).
         self.fast = bool(fast)
-        #: Columnar-tier flag: the levels become packed-column
-        #: structures (repro.cache.columnar) and :meth:`access` stays
-        #: the reference method — the structures themselves carry the
-        #: acceleration, and the machine's columnar kernel inlines over
-        #: their columns directly (docs/VECTORIZATION.md).
-        self.columnar = bool(columnar)
-        if columnar:
-            from repro.cache.columnar import ColumnarSetAssociativeCache
-
-            def _level(sets, ways, policy, level_rng, name):
-                return ColumnarSetAssociativeCache(
-                    sets, ways, policy, level_rng, name=name
-                )
-
-        else:
-
-            def _level(sets, ways, policy, level_rng, name):
-                return SetAssociativeCache(
-                    sets, ways, policy, level_rng, name=name, fast=fast
-                )
-
-        self.l1 = _level(
-            config.l1_sets, config.l1_ways, config.l1_policy, rng.fork(1), "L1D"
+        self.l1 = SetAssociativeCache(
+            config.l1_sets,
+            config.l1_ways,
+            config.l1_policy,
+            rng.fork(1),
+            name="L1D",
+            fast=fast,
         )
-        self.l2 = _level(
-            config.l2_sets, config.l2_ways, config.l2_policy, rng.fork(2), "L2"
+        self.l2 = SetAssociativeCache(
+            config.l2_sets,
+            config.l2_ways,
+            config.l2_policy,
+            rng.fork(2),
+            name="L2",
+            fast=fast,
         )
-        self.llc = _level(
+        self.llc = SetAssociativeCache(
             config.llc_sets_per_slice * config.llc_slices,
             config.llc_ways,
             config.policy,
             rng.fork(3),
-            "LLC",
+            name="LLC",
+            fast=fast,
         )
         self.slice_hash = SliceHash(config.llc_slices, config.slice_masks)
         self._l1_mask = config.l1_sets - 1
@@ -80,13 +70,9 @@ class CacheHierarchy:
         #: line -> LLC global set index memo.  The mapping is a pure
         #: function of the line address for a machine's lifetime, so
         #: the memo never invalidates.
-        self._index_memo = {} if (fast or columnar) else None
+        self._index_memo = {} if fast else None
         self.back_invalidations = 0
-        # _access_fast pokes _SetState internals and only fits the fast
-        # structures; columnar hierarchies run the reference access()
-        # over their packed columns (the machine's batch kernel is
-        # where columnar accesses get inlined).
-        if fast and not columnar:
+        if fast:
             self.access = self._access_fast
 
     def llc_set_and_slice(self, paddr):

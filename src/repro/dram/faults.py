@@ -139,8 +139,8 @@ class FaultModel:
     def thresholds_for_row(self, bank, row):
         """Ascending threshold column of (bank, row): a flat int tuple.
 
-        The packed-array companion of :meth:`cells_for_row` for the
-        activation hot path (docs/VECTORIZATION.md): the row's flip scan
+        The flat companion of :meth:`cells_for_row` for the activation
+        hot path (docs/PERFORMANCE.md): the row's flip scan
         runs off this tuple — one int compare per check — and only
         materialises :class:`VulnerableCell` objects once a threshold is
         actually crossed.  Same cache lifetime as the cell list.

@@ -1,6 +1,6 @@
 """Machine composition: configs, the machine, the attacker view, the inspector."""
 
-from repro.machine.addrmap import AddressMap, fast_path_enabled
+from repro.machine.addrmap import AddressMap
 from repro.machine.attacker import AttackerView
 from repro.machine.configs import (
     CacheConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "TLBConfig",
     "dell_e6420",
     "dell_e6420_scaled",
-    "fast_path_enabled",
     "lenovo_t420",
     "lenovo_t420_scaled",
     "lenovo_x230",

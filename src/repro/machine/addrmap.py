@@ -17,7 +17,7 @@ for a machine's lifetime and are memoized inside
 :class:`~repro.cache.hierarchy.CacheHierarchy` and
 :class:`~repro.dram.module.DRAMModule` (gated on the same fast-path
 flag); this module is also where the gate itself
-(:func:`fast_path_enabled`) lives.
+(:func:`resolve_tier`) lives.
 
 Invalidation model (documented in docs/PERFORMANCE.md): every memo
 entry stores the *generation* of its 2 MiB region at fill time.
@@ -36,69 +36,40 @@ import os
 
 #: Environment variable selecting the access path; ``0`` forces the
 #: reference path everywhere (the escape hatch documented in
-#: docs/PERFORMANCE.md).  Since the columnar engine landed this is a
-#: three-way *tier selector*, not just an on/off switch — see
-#: :func:`resolve_tier` and docs/VECTORIZATION.md.
+#: docs/PERFORMANCE.md).  :func:`resolve_tier` is its only parser.
 FAST_PATH_ENV = "REPRO_FAST_PATH"
 
-#: Access-engine tiers (docs/VECTORIZATION.md).  ``reference`` is the
+#: Access-engine tiers (docs/PERFORMANCE.md).  ``reference`` is the
 #: oracle the equivalence suite compares against; ``fast`` is the
-#: memoizing/batching engine PR 5 introduced (the default); ``columnar``
-#: additionally packs cache/TLB replacement state into flat integer
-#: columns and runs whole batches through one fused kernel.
+#: memoizing/batching engine (the default).
 TIER_REFERENCE = "reference"
 TIER_FAST = "fast"
-TIER_COLUMNAR = "columnar"
-TIERS = (TIER_REFERENCE, TIER_FAST, TIER_COLUMNAR)
+TIERS = (TIER_REFERENCE, TIER_FAST)
 
 #: ``REPRO_FAST_PATH`` spellings that force the reference engine.
 _OFF_VALUES = ("0", "false", "no", "off", TIER_REFERENCE)
-#: Spellings that select the columnar engine (``2`` continues the
-#: historical numeric scheme: 0=reference, 1=fast, 2=columnar).
-_COLUMNAR_VALUES = ("2", TIER_COLUMNAR)
 
 
-def fast_path_enabled(default=True):
-    """Whether the fast access path is enabled for new machines.
-
-    Reads ``REPRO_FAST_PATH``; unset means ``default`` (on).  Any of
-    ``0``/``false``/``no``/``off`` disables it.  Kept for callers that
-    only care about the reference/accelerated split; tier-aware callers
-    use :func:`resolve_tier`.
-    """
-    value = os.environ.get(FAST_PATH_ENV)
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "false", "no", "off")
-
-
-def resolve_tier(value=None, default=TIER_FAST):
+def resolve_tier(value=None):
     """Resolve an access-engine tier from a flag, tier name, or the env.
 
     ``value`` may be ``None`` (consult ``REPRO_FAST_PATH``; unset means
-    ``default``), a bool (the historical ``fast_path`` flag: ``True`` →
+    fast), a bool (the historical ``fast_path`` flag: ``True`` →
     fast, ``False`` → reference), or a tier name from :data:`TIERS`.
     Unknown environment spellings fall back to the fast tier — the
     variable was historically truthy/falsy and every truthy value meant
     "accelerated" — but an unknown *explicit* tier name raises, so a
-    typo in ``Machine(fast_path="columanr")`` fails loudly.
+    typo in ``Machine(fast_path="refrence")`` fails loudly.
     """
     if value is None:
         env = os.environ.get(FAST_PATH_ENV)
-        if env is None:
-            return default
-        text = env.strip().lower()
-        if text in _OFF_VALUES:
+        if env is not None and env.strip().lower() in _OFF_VALUES:
             return TIER_REFERENCE
-        if text in _COLUMNAR_VALUES:
-            return TIER_COLUMNAR
         return TIER_FAST
     if isinstance(value, str):
         text = value.strip().lower()
         if text in _OFF_VALUES:
             return TIER_REFERENCE
-        if text in _COLUMNAR_VALUES:
-            return TIER_COLUMNAR
         if text in (TIER_FAST, "1", "true", "yes", "on"):
             return TIER_FAST
         from repro.errors import ConfigError

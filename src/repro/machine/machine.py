@@ -20,12 +20,9 @@ from repro.machine.addrmap import (
     ADDRMAP_MISS,
     AddressMap,
     CounterBatch,
-    TIER_COLUMNAR,
     TIER_FAST,
-    TIER_REFERENCE,
     resolve_tier,
 )
-from repro.machine.columnar import build_columnar_kernel, columnar_supported
 from repro.machine.snapshot import MachineSnapshot
 from repro.machine.perf import (
     DTLB_HIT,
@@ -39,7 +36,7 @@ from repro.mem.physmem import PhysicalMemory
 from repro.observe import ACCESS, FAULT, MACHINE, MetricsRegistry, TraceBus
 from repro.observe import TLB as TLB_COMPONENT
 from repro.observe import TLB_HIT
-from repro.mmu.tlb import TLB, ColumnarTLB, TLB_L1, TLB_MISS
+from repro.mmu.tlb import TLB, TLB_L1, TLB_MISS
 from repro.mmu.walker import PageFault, PageTableWalker
 from repro.params import (
     LINE_SHIFT,
@@ -73,29 +70,14 @@ class Machine:
         self.config = config
         self.rng = DeterministicRng(config.seed)
         self.cycles = 0
-        #: Which access engine this machine runs (docs/VECTORIZATION.md):
-        #: ``reference``, ``fast``, or ``columnar``.  ``fast_path``
-        #: accepts the historical bool, a tier name, or ``None`` to
-        #: consult ``REPRO_FAST_PATH`` (default: fast).  A columnar
-        #: request on a config without columnar kernels (exotic
-        #: replacement policy, non-inclusive LLC) degrades to the fast
-        #: tier — same behaviour, object-based structures.  The tier is
-        #: fixed for the machine's lifetime so accelerated state can
-        #: never straddle engines.
-        tier = resolve_tier(fast_path)
-        if tier == TIER_COLUMNAR and not columnar_supported(config):
-            tier = TIER_FAST
-        self.tier = tier
-        #: Whether an accelerated engine (fast or columnar) is active —
-        #: the memo/snapshot gate (docs/PERFORMANCE.md).  Fast- and
-        #: columnar-tier machines are snapshot-interchangeable; the
-        #: reference tier is not (no memo state).
-        self.fast_path = tier != TIER_REFERENCE
-        #: Lazily-built fused batch kernel (columnar tier only; see
-        #: repro.machine.columnar).  Stays valid for the machine's
-        #: lifetime: restore() mutates every captured structure in
-        #: place rather than rebinding it.
-        self._columnar_kernel = None
+        #: Whether the memoizing fast access path is active for this
+        #: machine (docs/PERFORMANCE.md).  ``fast_path`` takes a bool, a
+        #: tier name (``"reference"`` or ``"fast"``), or ``None`` to
+        #: consult the ``REPRO_FAST_PATH`` environment variable (default
+        #: on); :func:`~repro.machine.addrmap.resolve_tier` parses all
+        #: three.  The flag is fixed for the machine's lifetime so
+        #: memoized state can never straddle the two paths.
+        self.fast_path = resolve_tier(fast_path) == TIER_FAST
 
         #: Structured trace bus shared by every layer (off by default;
         #: ``machine.trace.enable()`` opts in — docs/OBSERVABILITY.md).
@@ -139,20 +121,15 @@ class Machine:
             trace=self.trace,
             memoize_geometry=self.fast_path,
         )
-        columnar = tier == TIER_COLUMNAR
         self.caches = CacheHierarchy(
             config.cache,
             self.rng.fork("cache"),
             trace=self.trace,
             fast=self.fast_path,
-            columnar=columnar,
         )
-        if columnar:
-            self.tlb = ColumnarTLB(config.tlb, self.rng.fork("tlb"), trace=self.trace)
-        else:
-            self.tlb = TLB(
-                config.tlb, self.rng.fork("tlb"), trace=self.trace, fast=self.fast_path
-            )
+        self.tlb = TLB(
+            config.tlb, self.rng.fork("tlb"), trace=self.trace, fast=self.fast_path
+        )
         self.perf = PerfCounters(self.metrics)
         #: Generation-checked region -> L1PT memo for the fast path
         #: (docs/PERFORMANCE.md); kept in sync by the page-table
@@ -333,29 +310,7 @@ class Machine:
             for vaddr in vaddrs:
                 self.access(process, vaddr)
             return None
-        observed = (
-            self.trace.enabled or self.chaos is not None or self.monitor is not None
-        )
-        if self.tier == TIER_COLUMNAR:
-            if observed:
-                # The object-poking batched loop below cannot run over
-                # packed columns, and observers need live cycles per
-                # access anyway: run the literal scalar loop (the trace
-                # events it emits are the real per-access events, which
-                # is what sampled tracing records).
-                if collect:
-                    return [self.access(process, vaddr).latency for vaddr in vaddrs]
-                for vaddr in vaddrs:
-                    self.access(process, vaddr)
-                return None
-            kernel = self._columnar_kernel
-            if kernel is None:
-                # Compiled once per machine: the factory hoists every
-                # stable reference into closure cells, so small batches
-                # pay no per-call setup (docs/VECTORIZATION.md).
-                kernel = self._columnar_kernel = build_columnar_kernel(self)
-            return kernel(process, vaddrs, collect)
-        if observed:
+        if self.trace.enabled or self.chaos is not None or self.monitor is not None:
             return self._access_many_fast(process, vaddrs, collect)
         return self._access_many_turbo(process, vaddrs, collect)
 
@@ -1061,7 +1016,7 @@ class Machine:
                 "fresh policy instance of the same class" % self.policy.name
             )
         machine = Machine(
-            self.config, policy=policy, trace=trace, fast_path=self.tier
+            self.config, policy=policy, trace=trace, fast_path=self.fast_path
         )
         if self.chaos is not None:
             machine.attach_chaos(type(self.chaos)(self.chaos.config))

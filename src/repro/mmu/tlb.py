@@ -245,177 +245,6 @@ class TLB:
         self._frames = dict(state["frames"])
 
 
-#: Packed-tag layout of the columnar TLB: bits [0, 44) hold the page
-#: number (4 KiB vpn or 2 MiB superpage number — a 48-bit virtual
-#: address gives at most 36 vpn bits), bit 44 flags a huge-page entry,
-#: and the address-space id sits above.  One int compare replaces the
-#: reference tier's tuple-equality walk on every way scan.
-TAG_HUGE_BIT = 1 << 44
-_TAG_NUMBER_MASK = TAG_HUGE_BIT - 1
-
-
-def encode_tag(tag):
-    """Pack a reference TLB tag tuple into the columnar int form."""
-    if len(tag) == 3:  # (as_id, superpage_number, "huge")
-        return (tag[0] << 45) | TAG_HUGE_BIT | tag[1]
-    return (tag[0] << 45) | tag[1]
-
-
-def decode_tag(packed):
-    """Unpack a columnar int tag back into the reference tuple form."""
-    number = packed & _TAG_NUMBER_MASK
-    as_id = packed >> 45
-    if packed & TAG_HUGE_BIT:
-        return (as_id, number, "huge")
-    return (as_id, number)
-
-
-class ColumnarTLB(TLB):
-    """:class:`TLB` over packed-column structures with int-packed tags.
-
-    Built by columnar-tier machines.  Every probing/installing method
-    re-derives the packed tag inline (the tuple tag never exists on the
-    hot path); trace events, counters, replacement transitions, and the
-    frame side table's insertion order match the reference TLB
-    operation for operation.  ``state_dict()`` decodes tags and frame
-    keys back to the reference tuples, so snapshots are byte-identical
-    across the fast and columnar tiers.
-    """
-
-    def __init__(self, config, rng, trace=None):
-        from repro.cache.columnar import ColumnarSetAssociativeCache
-
-        self.config = config
-        self._trace = trace if trace is not None else NULL_TRACE
-        self.l1 = ColumnarSetAssociativeCache(
-            config.l1d_sets,
-            config.l1d_ways,
-            config.policy,
-            rng.fork(1),
-            name="L1dTLB",
-            tag_decode=decode_tag,
-            tag_encode=encode_tag,
-        )
-        self.l2 = ColumnarSetAssociativeCache(
-            config.l2s_sets,
-            config.l2s_ways,
-            config.policy,
-            rng.fork(2),
-            name="L2sTLB",
-            tag_decode=decode_tag,
-            tag_encode=encode_tag,
-        )
-        self.l1_huge = ColumnarSetAssociativeCache(
-            config.l1d_huge_sets,
-            config.l1d_huge_ways,
-            config.policy,
-            rng.fork(3),
-            name="L1dTLB2M",
-            tag_decode=decode_tag,
-            tag_encode=encode_tag,
-        )
-        self.l1_set_of = _make_set_mapping(config.l1d_mapping, config.l1d_sets)
-        self.l2_set_of = _make_set_mapping(config.l2s_mapping, config.l2s_sets)
-        self.huge_set_of = _make_set_mapping(
-            config.l1d_huge_mapping, config.l1d_huge_sets
-        )
-        #: Keyed by packed tags internally; decoded in :meth:`state_dict`.
-        self._frames = {}
-
-    def lookup(self, as_id, vpn):
-        """Probe the 4 KiB structures; return (level, frame-or-None)."""
-        tag = (as_id << 45) | vpn
-        if self.l1.lookup(self.l1_set_of(vpn), tag):
-            if self._trace.enabled:
-                self._trace.emit(TLB_HIT, TLB_COMPONENT, level=TLB_L1, vpn=vpn)
-            return TLB_L1, self._frames[tag]
-        if self.l2.lookup(self.l2_set_of(vpn), tag):
-            self._install(self.l1, self.l1_set_of(vpn), tag)
-            if self._trace.enabled:
-                self._trace.emit(TLB_HIT, TLB_COMPONENT, level=TLB_L2, vpn=vpn)
-            return TLB_L2, self._frames[tag]
-        return TLB_MISS, None
-
-    def lookup_huge(self, as_id, superpage_number):
-        """Probe the 2 MiB structure; return (level, frame-or-None)."""
-        tag = (as_id << 45) | TAG_HUGE_BIT | superpage_number
-        if self.l1_huge.lookup(self.huge_set_of(superpage_number), tag):
-            if self._trace.enabled:
-                self._trace.emit(
-                    TLB_HIT, TLB_COMPONENT, level="tlb_huge", vpn=superpage_number
-                )
-            return TLB_L1, self._frames[tag]
-        return TLB_MISS, None
-
-    def insert(self, as_id, vpn, frame):
-        """Install a completed 4 KiB translation into both levels."""
-        tag = (as_id << 45) | vpn
-        self._frames[tag] = frame
-        self._install(self.l1, self.l1_set_of(vpn), tag)
-        self._install(self.l2, self.l2_set_of(vpn), tag)
-
-    def insert_huge(self, as_id, superpage_number, frame):
-        """Install a completed 2 MiB translation."""
-        tag = (as_id << 45) | TAG_HUGE_BIT | superpage_number
-        self._frames[tag] = frame
-        self._install(self.l1_huge, self.huge_set_of(superpage_number), tag)
-
-    def _maybe_drop_frame(self, tag):
-        """Free the side-table slot once a tag is resident nowhere."""
-        number = tag & _TAG_NUMBER_MASK
-        if tag & TAG_HUGE_BIT:
-            resident = self.l1_huge.contains(self.huge_set_of(number), tag)
-        else:
-            resident = self.l1.contains(self.l1_set_of(number), tag) or self.l2.contains(
-                self.l2_set_of(number), tag
-            )
-        if not resident:
-            self._frames.pop(tag, None)
-
-    def invalidate(self, as_id, vpn):
-        """invlpg: drop one 4 KiB translation everywhere (privileged)."""
-        tag = (as_id << 45) | vpn
-        self.l1.invalidate(self.l1_set_of(vpn), tag)
-        self.l2.invalidate(self.l2_set_of(vpn), tag)
-        self._frames.pop(tag, None)
-
-    def holds(self, as_id, vpn):
-        """Whether a 4 KiB translation is resident (evaluation only)."""
-        tag = (as_id << 45) | vpn
-        return self.l1.contains(self.l1_set_of(vpn), tag) or self.l2.contains(
-            self.l2_set_of(vpn), tag
-        )
-
-    def state_dict(self):
-        """Both 4 KiB levels, the 2 MiB structure, and the frame table.
-
-        Emitted in the reference encoding (tuple tags/keys, reference
-        insertion order), so fast- and columnar-tier snapshots of the
-        same operation stream are byte-identical.
-        """
-        return {
-            "l1": self.l1.state_dict(),
-            "l2": self.l2.state_dict(),
-            "l1_huge": self.l1_huge.state_dict(),
-            "frames": {decode_tag(tag): frame for tag, frame in self._frames.items()},
-        }
-
-    def load_state(self, state):
-        """Restore state captured by :meth:`state_dict` (either tier's).
-
-        ``_frames`` is updated in place: the machine's persistent batch
-        kernel (repro.machine.columnar) captures the dict once at build
-        time, so rebinding it here would strand the kernel on a stale
-        table.
-        """
-        self.l1.load_state(state["l1"])
-        self.l2.load_state(state["l2"])
-        self.l1_huge.load_state(state["l1_huge"])
-        self._frames.clear()
-        for tag, frame in state["frames"].items():
-            self._frames[encode_tag(tag)] = frame
-
-
 def vpn_of(vaddr):
     """Virtual page number (4 KiB) of an address."""
     return vaddr >> PAGE_SHIFT

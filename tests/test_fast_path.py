@@ -23,8 +23,15 @@ from repro.cache.policies import make_policy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.chaos import ChaosInjector, chaos_profile
 from repro.core import PThammerAttack, PThammerConfig
+from repro.errors import ConfigError
 from repro.machine import AttackerView, Machine
-from repro.machine.addrmap import ADDRMAP_MISS, AddressMap, fast_path_enabled
+from repro.machine.addrmap import (
+    ADDRMAP_MISS,
+    TIER_FAST,
+    TIER_REFERENCE,
+    AddressMap,
+    resolve_tier,
+)
 from repro.machine.configs import tiny_test_config
 from repro.utils.rng import DeterministicRng
 
@@ -134,12 +141,12 @@ def test_chaos_attack_equivalence():
 )
 def test_experiments_are_identical_under_the_env_gate(name, options, monkeypatch):
     """The registered experiments, run through the engine with
-    ``REPRO_FAST_PATH`` swept over all three tiers (reference, fast,
-    columnar): rendered results and aggregated metrics must match."""
+    ``REPRO_FAST_PATH`` flipped: rendered results and aggregated
+    metrics must match."""
     from repro.analysis import run_experiment
 
     runs = []
-    for value in ("0", "1", "2"):
+    for value in ("0", "1"):
         monkeypatch.setenv("REPRO_FAST_PATH", value)
         run = run_experiment(name, dict(options))
         runs.append(
@@ -148,7 +155,7 @@ def test_experiments_are_identical_under_the_env_gate(name, options, monkeypatch
                 json.dumps(run.metrics.snapshot_values(), sort_keys=True),
             )
         )
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.slow
@@ -214,6 +221,21 @@ def test_access_many_on_the_reference_engine():
                 attacker.touch(va)
         machines.append(machine)
     _assert_equivalent(machines[0], machines[1])
+
+
+def test_demand_paging_faults_match_across_tiers():
+    """Touching unpopulated pages runs the kernel-fault retry loop
+    inside a batched ``touch_many``; fault counts and cycles must
+    match the reference engine's scalar loop."""
+    machines = []
+    for machine, attacker in _machine_pair(seed=5):
+        base = attacker.mmap(16, populate=False)
+        attacker.touch_many([base + i * 4096 for i in range(16)] * 3)
+        machines.append(machine)
+    # The workload really did fault (otherwise this test pins nothing).
+    counters = machines[0].metrics.snapshot_values()["counters"]
+    assert counters["page_faults"] >= 16
+    _assert_equivalent(*machines)
 
 
 def test_access_many_collect_returns_per_access_latencies():
@@ -366,13 +388,20 @@ def test_fast_and_reference_agree_across_pagetable_churn():
 
 def test_fast_path_env_escape_hatch(monkeypatch):
     monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-    assert fast_path_enabled() is True
-    for value in ("0", "false", "No", " OFF "):
+    assert resolve_tier() == TIER_FAST
+    assert Machine(tiny_test_config()).fast_path is True
+    for value in ("0", "false", "No", " OFF ", "reference"):
         monkeypatch.setenv("REPRO_FAST_PATH", value)
-        assert fast_path_enabled() is False
+        assert resolve_tier() == TIER_REFERENCE
         assert Machine(tiny_test_config()).fast_path is False
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    assert fast_path_enabled() is True
+    # Every other spelling means fast, including the retired "2".
+    for value in ("1", "2"):
+        monkeypatch.setenv("REPRO_FAST_PATH", value)
+        assert resolve_tier() == TIER_FAST
+        assert Machine(tiny_test_config()).fast_path is True
+    # An unknown explicit tier name is a typo, not a request for fast.
+    with pytest.raises(ConfigError, match="columnar"):
+        Machine(tiny_test_config(), fast_path="columnar")
 
 
 def test_fast_path_kwarg_overrides_environment(monkeypatch):

@@ -1,7 +1,15 @@
-"""Property-based tests at the machine level: translation correctness
-and robustness under arbitrary page-table corruption."""
+"""Property-based tests at the machine level: translation correctness,
+robustness under arbitrary page-table corruption, and a generated
+reference-vs-fast equivalence oracle."""
 
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.errors import ReproError, SegmentationFault
 from repro.machine import AttackerView, Machine
@@ -121,3 +129,113 @@ def test_tlb_invalidate_removes(vpns):
     for vpn in vpns:
         tlb.invalidate(1, vpn)
         assert not tlb.holds(1, vpn)
+
+
+# ----------------------------------------------------------------------
+# generated reference-vs-fast oracle
+
+#: Drawn byte offsets; each is folded into the target region.
+_offsets = st.lists(st.integers(0, (1 << 18) - 1), min_size=1, max_size=48)
+
+
+class ReferenceVsFast(RuleBasedStateMachine):
+    """One reference and one fast machine driven by the same steps.
+
+    The reference engine is the oracle: every rule runs identically on
+    both machines and asserts equal return values, and the invariant
+    asserts equal virtual cycles and metrics after every step.  A
+    divergence shrinks to a minimal step sequence.
+    """
+
+    regions = Bundle("regions")
+
+    @initialize(seed=st.integers(1, 1000))
+    def boot(self, seed):
+        self.pair = []
+        for fast in (False, True):
+            machine = Machine(tiny_test_config(seed=seed), fast_path=fast)
+            self.pair.append((machine, AttackerView(machine, machine.boot_process())))
+
+    def _both(self, step):
+        """Run ``step(machine, attacker)`` on both engines; assert equal outcomes.
+
+        A SIGSEGV is an outcome too (churn without a TLB shootdown can
+        leave a walk looping on a stale table): both engines must
+        raise it at the same point and continue from the same state.
+        """
+        outcomes = []
+        for machine, attacker in self.pair:
+            try:
+                outcomes.append(step(machine, attacker))
+            except SegmentationFault as fault:
+                outcomes.append(("SIGSEGV", str(fault)))
+        reference, fast = outcomes
+        assert fast == reference
+        return reference
+
+    @rule(target=regions, pages=st.integers(1, 64), populate=st.booleans())
+    def mmap(self, pages, populate):
+        base = self._both(
+            lambda machine, attacker: attacker.mmap(pages, populate=populate)
+        )
+        return base, pages
+
+    @staticmethod
+    def _addresses(region, offsets):
+        base, pages = region
+        return [base + offset % (pages * 4096) for offset in offsets]
+
+    @rule(
+        region=regions,
+        offsets=_offsets,
+        repeat=st.integers(1, 3),
+        collect=st.booleans(),
+    )
+    def touch_many(self, region, offsets, repeat, collect):
+        vaddrs = self._addresses(region, offsets) * repeat
+        self._both(
+            lambda machine, attacker: machine.access_many(
+                attacker.process, vaddrs, collect=collect
+            )
+        )
+
+    @rule(region=regions, offsets=_offsets)
+    def read_bulk(self, region, offsets):
+        vaddrs = self._addresses(region, offsets)
+        self._both(lambda machine, attacker: attacker.read_bulk(vaddrs))
+
+    @rule(region=regions, drop=st.booleans())
+    def churn_l1pt(self, region, drop):
+        base, _ = region
+
+        def churn(machine, attacker):
+            cr3 = attacker.process.address_space.cr3
+            if drop:
+                return machine.ptm.drop_l1pt(cr3, base)
+            return machine.ptm.migrate_l1pt(cr3, base)
+
+        self._both(churn)
+
+    @rule()
+    def snapshot_and_restore(self):
+        """Continue each engine on a fresh machine of its own tier."""
+        restored = []
+        for machine, attacker in self.pair:
+            snap = machine.snapshot()
+            fresh = Machine(machine.config, fast_path=machine.fast_path).restore(snap)
+            assert fresh.snapshot().fingerprint() == snap.fingerprint()
+            process = fresh.kernel.processes[attacker.process.pid]
+            restored.append((fresh, AttackerView(fresh, process)))
+        self.pair = restored
+
+    @invariant()
+    def engines_agree(self):
+        (reference, _), (fast, _) = self.pair
+        assert fast.cycles == reference.cycles
+        assert fast.metrics.snapshot_values() == reference.metrics.snapshot_values()
+
+
+ReferenceVsFast.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestReferenceVsFast = ReferenceVsFast.TestCase
