@@ -46,7 +46,7 @@ from repro.analysis.engine import experiment_names, get_experiment, run_experime
 from repro.analysis.telemetry import ProgressReporter
 from repro.core.pthammer import PThammerAttack, PThammerConfig
 from repro.defenses import DEFENSE_PRESETS
-from repro.errors import CampaignError, ConfigError, SnapshotError
+from repro.errors import CampaignError, ConfigError, OutOfMemory, SnapshotError
 from repro.machine import AttackerView, Inspector, Machine
 from repro.machine.configs import MACHINE_PRESETS, tiny_test_config
 from repro.observe.ledger import (
@@ -295,7 +295,10 @@ def _cmd_attack(args):
     )
     started = time.time()
     attack = PThammerAttack(attacker, attack_config)
-    report = attack.run()
+    try:
+        report = attack.run()
+    except OutOfMemory as exc:
+        return _out_of_memory(exc, trace_file)
     print(report.summary())
     if report.outcome:
         for note in report.outcome.details:
@@ -370,6 +373,19 @@ def _cmd_attack(args):
         RunLedger().record(record)
         print("run recorded: %s" % record.run_id, file=sys.stderr)
     return code
+
+
+def _out_of_memory(exc, out_file):
+    """Exit 2 with one line when an attack exhausts the simulated memory
+    (an over-sized spray: each slot costs the kernel a page table)."""
+    if out_file is not None:
+        out_file.close()
+    print(
+        "repro: the attack ran out of simulated memory (%s); try fewer --slots"
+        % exc,
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _open_trace_destination(path):
@@ -1108,12 +1124,16 @@ def _cmd_trace(args):
             return 2
         machine.trace.set_sampling(rates=rates, budgets=budgets)
     print("tracing PThammer vs %s (defense: %s) ..." % (config.name, args.defense))
-    report = PThammerAttack(
+    attack = PThammerAttack(
         attacker,
         PThammerConfig(
             spray_slots=args.slots, pair_sample=args.pairs, max_pairs=args.pairs
         ),
-    ).run()
+    )
+    try:
+        report = attack.run()
+    except OutOfMemory as exc:
+        return _out_of_memory(exc, out_file)
     print(report.summary())
     print()
     print(

@@ -125,20 +125,31 @@ class PageTableSpray:
         pages; unreadable pages (killed by an unlucky flip) are
         reported with ``value=None``.
         """
-        slots = range(self.slots) if slot_range is None else slot_range
+        slots = range(self.slots) if slot_range is None else list(slot_range)
+        per_slot = self.pages_per_slot
+        span = per_slot * PAGE_SIZE
         vas = []
-        expect = []
-        meta = []
         for slot in slots:
-            for page in range(self.pages_per_slot):
-                vas.append(self.page_va(slot, page))
-                expect.append(self.expected_marker(slot, page))
-                meta.append((slot, page))
+            base = self.slot_base(slot)
+            vas.extend(range(base, base + span, PAGE_SIZE))
         values = self.attacker.read_bulk(vas)
+        # Slot s expects markers[(s + page) % shm_pages]: a rotation of
+        # one periodic sequence, so a clean slot is one list compare.
+        shm_pages = self.shm_pages
+        period = self._markers * (per_slot // shm_pages + 2)
         mismatches = []
-        for (slot, page), va, value, expected in zip(meta, vas, values, expect):
-            if value != expected:
-                mismatches.append(SprayMismatch(slot, page, va, value))
+        for position, slot in enumerate(slots):
+            got = values[position * per_slot : (position + 1) * per_slot]
+            rotation = slot % shm_pages
+            expected = period[rotation : rotation + per_slot]
+            if got == expected:
+                continue
+            base = self.slot_base(slot)
+            for page, (value, marker) in enumerate(zip(got, expected)):
+                if value != marker:
+                    mismatches.append(
+                        SprayMismatch(slot, page, base + page * PAGE_SIZE, value)
+                    )
         return mismatches
 
     def target_va(self, slot):

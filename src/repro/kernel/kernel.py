@@ -13,7 +13,7 @@ Provides exactly the services the paper's attack interacts with:
   it rewrites its own cred through hammered page tables.
 """
 
-from repro.errors import ConfigError, OutOfMemory, SegmentationFault
+from repro.errors import ConfigError, OutOfMemory, ReproError, SegmentationFault
 from repro.kernel.cred import CredAllocator
 from repro.kernel.process import (
     USER_MMAP_BASE,
@@ -30,12 +30,17 @@ from repro.params import PAGE_SHIFT, PAGE_SIZE, SUPERPAGE_SIZE
 class Kernel:
     """OS services over the machine's physical memory and page tables."""
 
-    def __init__(self, physmem, ptm, policy, invalidate_tlb, max_map_count=65530):
+    def __init__(
+        self, physmem, ptm, policy, invalidate_tlb, max_map_count=65530, fast=False
+    ):
         self.physmem = physmem
         self.ptm = ptm
         self.policy = policy
         self.invalidate_tlb = invalidate_tlb
         self.max_map_count = max_map_count
+        #: Fast-tier flag (machines pass theirs): MAP_POPULATE of a 4 KiB
+        #: VMA works one L1PT run at a time (docs/PERFORMANCE.md).
+        self.fast = bool(fast)
         self.creds = CredAllocator(physmem, policy.alloc_kernel_frame)
         self.processes = {}
         self._next_pid = 1000
@@ -93,7 +98,10 @@ class Kernel:
 
         ``fixed_addr`` is MAP_FIXED_NOREPLACE: the caller chooses the
         virtual address (the spray and the pair construction need full
-        control of virtual layout).  ``populate`` is MAP_POPULATE.
+        control of virtual layout).  ``populate`` is MAP_POPULATE; when
+        populating raises (``OutOfMemory``, ``MappingError``), the
+        mapping is torn down as :meth:`sys_munmap` would and the error
+        re-raised, so a retry at the same address starts clean.
         """
         space = process.address_space
         if space.vma_count() >= self.max_map_count:
@@ -116,9 +124,70 @@ class Kernel:
         vma = VMA(start, npages, shm=shm, shm_offset=shm_offset, huge=huge)
         space.add_vma(vma)
         if populate:
-            for i in range(npages):
-                self.handle_page_fault(process, start + i * granule, write=False)
+            try:
+                if self.fast and not huge:
+                    self._populate_by_table(process, vma)
+                else:
+                    for i in range(npages):
+                        self.handle_page_fault(
+                            process, start + i * granule, write=False
+                        )
+            except ReproError:
+                space.remove_vma(start)
+                self._unmap_pages(space, vma)
+                raise
         return start
+
+    def _populate_by_table(self, process, vma):
+        """MAP_POPULATE of a 4 KiB VMA, one 2 MiB L1PT run at a time.
+
+        The fast tier's form of :meth:`handle_page_fault` per page: each
+        run resolves its L1PT once with ``map_page``'s create-on-demand
+        descent, then installs the rest of its PTEs straight into that
+        table.  Every per-page step stays, in the reference order: the
+        ``populated`` check, the fault count, the frame allocation
+        before any table allocation, ``MappingError`` on a present PTE,
+        and one cache warm per PTE written.
+        """
+        space = process.address_space
+        populated = space.populated
+        cr3 = space.cr3
+        map_page = self.ptm.map_page
+        l1pte_writer = self.ptm.l1pte_writer
+        alloc = self.policy.alloc_user_frame
+        shm = vma.shm
+        writable = vma.writable
+        start = vma.start
+        end = vma.end
+        first_page = vma.shm_offset - (start >> PAGE_SHIFT)
+        run_start = start
+        while run_start < end:
+            run_end = min(end, (run_start | (SUPERPAGE_SIZE - 1)) + 1)
+            install = None
+            for page_va in range(run_start, run_end, PAGE_SIZE):
+                if page_va in populated:
+                    # The reference fault path heals it and may rebuild
+                    # this run's table: resolve the table again after.
+                    self.handle_page_fault(process, page_va, write=False)
+                    install = None
+                    continue
+                self.page_fault_count += 1
+                if shm is None:
+                    frame = alloc(process)
+                else:
+                    # vma.backing_page(page_va), without the method calls.
+                    index = (first_page + (page_va >> PAGE_SHIFT)) % shm.npages
+                    frame = shm.frames.get(index)
+                    if frame is None:
+                        frame = alloc(process)
+                        shm.frames[index] = frame
+                if install is None:
+                    l1pt = map_page(cr3, page_va, frame, user=True, writable=writable)
+                    install = l1pte_writer(l1pt, user=True, writable=writable)
+                else:
+                    install(page_va, frame)
+                populated[page_va] = frame
+            run_start = run_end
 
     def sys_mprotect(self, process, start, writable):
         """Change the write permission of the VMA starting at ``start``.
@@ -154,6 +223,11 @@ class Kernel:
         vma = space.remove_vma(start)
         if vma is None:
             raise SegmentationFault(start, "munmap of unmapped region")
+        self._unmap_pages(space, vma)
+
+    def _unmap_pages(self, space, vma):
+        """Clear every populated page of a removed VMA and free its frames."""
+        start = vma.start
         granule = SUPERPAGE_SIZE if vma.huge else PAGE_SIZE
         for i in range(vma.npages):
             vaddr = start + i * granule

@@ -8,7 +8,15 @@ an inventory of page-table frames per level for the evaluation code
 """
 
 from repro.errors import ReproError
-from repro.mmu.pte import make_pte, pte_frame, pte_is_superpage, pte_present
+from repro.mmu.pte import (
+    PTE_FRAME_MASK,
+    PTE_FRAME_SHIFT,
+    PTE_PRESENT,
+    make_pte,
+    pte_frame,
+    pte_is_superpage,
+    pte_present,
+)
 from repro.params import PAGE_SHIFT, PTES_PER_TABLE, table_index
 
 
@@ -100,6 +108,31 @@ class PageTableManager:
             make_pte(frame, user=user, writable=writable),
         )
         return table  # the L1PT frame, handy for callers and tests
+
+    def l1pte_writer(self, l1pt, user=True, writable=True):
+        """:meth:`map_page`'s last step, bound to the L1PT ``l1pt``.
+
+        Returns ``install(vaddr, frame)``, which maps one 4 KiB page of
+        the table's 2 MiB region: ``MappingError`` on a present entry,
+        else the entry written and its line warmed, as
+        :meth:`write_entry` does.  The kernel's batched MAP_POPULATE
+        calls it for every page of a run after the first; the table's
+        word array is bound once, which is safe while nothing but frame
+        allocation and cache warming runs between installs.
+        """
+        words = self.physmem.frame_view(l1pt)
+        table_paddr = l1pt << PAGE_SHIFT
+        flags = make_pte(0, user=user, writable=writable)
+        warm = self.warm_cache
+
+        def install(vaddr, frame):
+            index = (vaddr >> PAGE_SHIFT) & (PTES_PER_TABLE - 1)
+            if words[index] & PTE_PRESENT:
+                raise MappingError("0x%x is already mapped" % vaddr)
+            words[index] = ((frame << PTE_FRAME_SHIFT) & PTE_FRAME_MASK) | flags
+            warm(table_paddr | (index << 3))
+
+        return install
 
     def map_superpage(self, cr3, vaddr, base_frame, user=True, writable=True):
         """Install a 2 MiB mapping at a 2 MiB-aligned virtual address."""

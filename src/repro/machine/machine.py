@@ -167,7 +167,10 @@ class Machine:
             ),
             notify_l1pt_change=self.addrmap.note_l1pt_change,
         )
-        self.kernel = Kernel(self.physmem, self.ptm, self.policy, self.tlb.invalidate)
+        self.kernel = Kernel(
+            self.physmem, self.ptm, self.policy, self.tlb.invalidate,
+            fast=self.fast_path,
+        )
         #: Optional system-noise injector (repro.chaos); None keeps the
         #: access path byte-for-byte identical to the quiet machine.
         self.chaos = None
@@ -764,6 +767,25 @@ class Machine:
         flat streaming cost per read and flushing TLBs and caches at
         the end.  Unreadable pages yield ``None``.
         """
+        if self.fast_path:
+            values = self._bulk_read_runs(process, vaddrs)
+        else:
+            values = self._bulk_read_pages(process, vaddrs)
+        self.cycles += self.BULK_READ_CYCLES * len(vaddrs)
+        self._instr_seq += len(vaddrs)
+        # The sweep displaced everything cacheable.
+        self.tlb.flush_all()
+        self.walker.flush_structure_caches()
+        self.caches.flush_all()
+        return values
+
+    def _bulk_read_pages(self, process, vaddrs):
+        """:meth:`bulk_read`'s values, page by page (the reference tier).
+
+        One software walk per 2 MiB region per call: all its pages
+        share the same L1PT, so per-page translation is a single L1PTE
+        read.
+        """
         space = process.address_space
         cr3 = space.cr3
         values = []
@@ -772,27 +794,13 @@ class Machine:
         read_word = self.physmem.read_word
         mask = self._paddr_mask
         frame_mask = (self.config.dram.size_bytes >> PAGE_SHIFT) - 1
-        # One software walk per 2 MiB region: all its pages share the
-        # same L1PT, so per-page translation is a single L1PTE read.
-        # The fast path memoizes the region -> L1PT mapping *across*
-        # calls in the machine's AddressMap — safe because page-table
-        # churn bumps the region generation through the kernel hook,
-        # and entry contents are still read live below.
-        use_memo = self.fast_path
-        addrmap = self.addrmap
         region_tables = {}
         for vaddr in vaddrs:
-            if use_memo:
-                l1pt = addrmap.cached_l1pt(cr3, vaddr)
-                if l1pt is ADDRMAP_MISS:
-                    l1pt = l1pt_of(cr3, vaddr)
-                    addrmap.store_l1pt(cr3, vaddr, l1pt)
-            else:
-                region = vaddr >> 21
-                l1pt = region_tables.get(region, -1)
-                if l1pt == -1:
-                    l1pt = l1pt_of(cr3, vaddr)
-                    region_tables[region] = l1pt
+            region = vaddr >> 21
+            l1pt = region_tables.get(region, -1)
+            if l1pt == -1:
+                l1pt = l1pt_of(cr3, vaddr)
+                region_tables[region] = l1pt
             frame = None
             if l1pt is not None:
                 entry = read_word((l1pt << PAGE_SHIFT) | (((vaddr >> 12) & 511) << 3))
@@ -805,14 +813,7 @@ class Machine:
                 except SegmentationFault:
                     values.append(None)
                     continue
-                if use_memo:
-                    # A fault that created an L1PT bumped the region's
-                    # generation via notify_l1pt_change; a fault that
-                    # only installed a PTE left the memoized frame
-                    # valid.  Either way the memo needs no manual drop.
-                    pass
-                else:
-                    region_tables.pop(vaddr >> 21, None)
+                region_tables.pop(vaddr >> 21, None)
                 hit = lookup(cr3, vaddr)
                 if hit is None:
                     values.append(None)
@@ -820,12 +821,55 @@ class Machine:
                 frame = hit[0]
             paddr = ((frame << PAGE_SHIFT) | (vaddr & 0xFFF)) & mask
             values.append(read_word(paddr & ~7))
-        self.cycles += self.BULK_READ_CYCLES * len(vaddrs)
-        self._instr_seq += len(vaddrs)
-        # The sweep displaced everything cacheable.
-        self.tlb.flush_all()
-        self.walker.flush_structure_caches()
-        self.caches.flush_all()
+        return values
+
+    def _bulk_read_runs(self, process, vaddrs):
+        """:meth:`bulk_read`'s values, one 2 MiB run at a time (fast tier).
+
+        Consecutive addresses in one 2 MiB region share an L1PT, so
+        each run costs one :class:`AddressMap` lookup (its hit counter
+        counts runs, not pages) and then indexes the table's and the
+        data frames' word arrays directly, without materialising
+        unwritten frames.  Any fault ends the run: the next address
+        resolves its table again, since a fault may create, heal, or
+        rebuild one.  Faults take the reference tier's steps.
+        """
+        cr3 = process.address_space.cr3
+        addrmap = self.addrmap
+        cached_l1pt = addrmap.cached_l1pt
+        l1pt_of = self.ptm.l1pt_frame_of
+        frame_words = self.physmem.frame_words
+        frame_mask = (self.config.dram.size_bytes >> PAGE_SHIFT) - 1
+        values = []
+        append = values.append
+        region = None
+        table = None
+        for vaddr in vaddrs:
+            if vaddr >> 21 != region:
+                region = vaddr >> 21
+                l1pt = cached_l1pt(cr3, vaddr)
+                if l1pt is ADDRMAP_MISS:
+                    l1pt = l1pt_of(cr3, vaddr)
+                    addrmap.store_l1pt(cr3, vaddr, l1pt)
+                table = None if l1pt is None else frame_words(l1pt)
+            if table is not None:
+                entry = table[(vaddr >> 12) & 511]
+                if entry & 1:
+                    words = frame_words((entry >> 12) & frame_mask)
+                    append(0 if words is None else words[(vaddr & 0xFFF) >> 3])
+                    continue
+            region = None
+            try:
+                self.kernel.handle_page_fault(process, vaddr, write=False)
+            except SegmentationFault:
+                append(None)
+                continue
+            hit = self.ptm.lookup(cr3, vaddr)
+            if hit is None:
+                append(None)
+                continue
+            paddr = ((hit[0] << PAGE_SHIFT) | (vaddr & 0xFFF)) & self._paddr_mask
+            append(self.physmem.read_word(paddr & ~7))
         return values
 
     def clflush(self, process, vaddr):

@@ -51,6 +51,16 @@ class PhysicalMemory:
             self._frames[frame] = words
         return words
 
+    def frame_words(self, frame):
+        """The 512-word array backing ``frame``, or None if unwritten.
+
+        Unlike :meth:`frame_view` this never materialises: None reads
+        as zero.  For read-only hot loops (the fast tier's bulk read)
+        that index many words of one frame; callers pass in-range frame
+        numbers, and must not mutate the array.
+        """
+        return self._frames.get(frame)
+
     def is_materialized(self, frame):
         """Whether ``frame`` has backing storage yet."""
         return frame in self._frames

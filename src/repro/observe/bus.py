@@ -20,7 +20,13 @@ attack phase — that is what lets ``report.timeline`` and
 per-access event firehose stays opt-in.
 """
 
+from itertools import repeat
+from operator import length_hint
+
 from repro.observe.events import SPAN_BEGIN, SPAN_END, ATTACK, Event, Span
+
+#: The skip run of a kind with nothing left to drop.
+_NO_SKIPS = repeat(None, 0)
 
 
 def _zero_clock():
@@ -45,24 +51,32 @@ class TraceSampler:
     specific match wins.  Unmatched kinds are admitted untouched.
     """
 
-    #: Countdown value standing in for "keep nothing" (rate <= 0): large
-    #: enough that the per-kind countdown never reaches the keep branch.
+    #: Skip-run length standing in for "keep nothing" (rate <= 0): large
+    #: enough that the run never ends, small enough for ``repeat``.
     _NEVER = 1 << 60
 
     def __init__(self, rates=None, budgets=None):
         self.rates = dict(rates or {})
         self.budgets = dict(budgets or {})
         self.kept = 0
-        self.sampled_out = 0
         self.budget_dropped = 0
         self._spent = {}  # budget key -> events admitted against it
         self._strides = {}  # kind -> resolved stride (None = unlimited)
         self._budget_keys = {}  # kind -> resolved budget key (or None)
-        # kind -> events to drop before the next keep.  The skip path —
-        # the overwhelmingly common one at campaign sample rates — costs
-        # one dict read and one int store (see the overhead guard in
-        # benchmarks/test_observe_overhead.py).
-        self._countdown = {}
+        # kind -> an ``itertools.repeat(None, n)`` with one item per
+        # event still to drop before the next keep.  The skip path — the
+        # overwhelmingly common one at campaign sample rates — is one
+        # dict read and one step of the run: no call, no int arithmetic,
+        # no store and no counter (see the overhead guard in
+        # tests/test_observe_overhead.py), so ``sampled_out`` is derived
+        # from the runs on demand.
+        self._skips = {}
+        self._stride_drops = 0  # events dropped or armed to drop so far
+
+    @property
+    def sampled_out(self):
+        """Events dropped by the stride so far (not by a budget)."""
+        return self._stride_drops - sum(map(length_hint, self._skips.values()))
 
     @staticmethod
     def category(kind):
@@ -101,20 +115,17 @@ class TraceSampler:
 
     def admit(self, kind):
         """Whether this occurrence of ``kind`` should be recorded."""
-        left = self._countdown.get(kind)
-        if left:
-            self._countdown[kind] = left - 1
-            self.sampled_out += 1
-            return False
-        # left is None (first occurrence of the kind) or 0 (this event
-        # is the stride's keep slot) — both resolve through the cache.
+        for _ in self._skips.get(kind, _NO_SKIPS):
+            return False  # one step of the kind's skip run
+        # The kind has no skip run (first occurrence) or its run is
+        # spent (this event is the stride's keep slot).
         stride = self._stride(kind)
         if stride == 0:
-            self._countdown[kind] = self._NEVER
-            self.sampled_out += 1
+            self._stride_drops += 1
+            self._arm(kind, self._NEVER)
             return False
-        if stride is not None:
-            self._countdown[kind] = stride - 1
+        if stride is not None and stride > 1:
+            self._arm(kind, stride - 1)
         budget_key = self._budget_keys.get(kind, -1)
         if budget_key == -1:
             budget_key = self._lookup(self.budgets, kind)
@@ -127,6 +138,11 @@ class TraceSampler:
             self._spent[budget_key] = spent + 1
         self.kept += 1
         return True
+
+    def _arm(self, kind, count):
+        """Drop the next ``count`` occurrences of ``kind``."""
+        self._skips[kind] = repeat(None, count)
+        self._stride_drops += count
 
     def stats(self):
         """JSON-serialisable counters (exported in trace headers)."""
@@ -195,6 +211,9 @@ class TraceBus:
         self.clock = _zero_clock
         #: Optional :class:`TraceSampler`; ``None`` records everything.
         self.sampler = None
+        # kind -> skip run, read inline by emit: the sampler's runs, or
+        # only empty ones while nothing is sampled.
+        self._skips = {}
         self._limit = limit
         self._subscribers = []
         self._depth = 0
@@ -228,32 +247,39 @@ class TraceBus:
         """
         if rates or budgets:
             self.sampler = TraceSampler(rates, budgets)
+            self._skips = self.sampler._skips
         else:
             self.sampler = None
+            self._skips = {}
         return self.sampler
 
     # -- events ----------------------------------------------------------
 
-    def emit(self, kind, component, **fields):
+    def emit(self, kind, component, /, **fields):
         """Record one event at the current virtual cycle.
 
         Only call under an ``if bus.enabled:`` guard — the guard, not
-        this method, is the disabled-path cost contract.
+        this method, is the disabled-path cost contract.  ``kind`` and
+        ``component`` are positional-only: CPython then files keyword
+        fields straight into ``fields`` instead of first comparing each
+        one with every named parameter, which cost a sampled-out emit
+        about as much as the skip decision itself.
         """
+        # Inlined skip path of TraceSampler.admit: at campaign sample
+        # rates nearly every emit ends here, and the extra method call is
+        # the difference between passing and failing the sampled-tracing
+        # overhead guard.  ``for`` steps the run without the call
+        # ``next()`` costs, and a subscript in a ``try`` is cheaper than
+        # ``dict.get``; it misses once per kind.
+        try:
+            run = self._skips[kind]
+        except KeyError:
+            run = self._skips[kind] = _NO_SKIPS
+        for _ in run:
+            return None
         sampler = self.sampler
-        if sampler is not None:
-            # Inlined skip path of TraceSampler.admit: at campaign
-            # sample rates nearly every emit lands here, and the extra
-            # method call is the difference between passing and failing
-            # the sampled-tracing overhead guard.
-            countdown = sampler._countdown
-            left = countdown.get(kind)
-            if left:
-                countdown[kind] = left - 1
-                sampler.sampled_out += 1
-                return None
-            if not sampler.admit(kind):
-                return None
+        if sampler is not None and not sampler.admit(kind):
+            return None
         event = Event(kind, component, self.clock(), fields)
         if len(self.events) < self._limit:
             self.events.append(event)
@@ -361,7 +387,7 @@ class NullTrace:
 
     enabled = False
 
-    def emit(self, kind, component, **fields):
+    def emit(self, kind, component, /, **fields):
         """No-op (only reachable if a caller skipped the guard)."""
         return None
 

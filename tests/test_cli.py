@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import DEFENSES, MACHINES, main
+from repro.defenses import CTAPolicy
+from repro.errors import OutOfMemory
 
 
 def test_machine_and_defense_registries():
@@ -39,6 +41,43 @@ def test_attack_command_end_to_end(capsys):
     assert "escalated: True" in out
     assert "uid after attack: 0" in out
     assert code == 0
+
+
+class _CrowdedCTA(CTAPolicy):
+    """CTA whose page-table zone keeps only a few frames free at boot,
+    so a modest spray exhausts it the way an over-sized one does."""
+
+    FREE_TABLES = 64
+
+    def attach(self, *args):
+        super().attach(*args)
+        zone = self.zone("pagetable")
+        taken = []
+        while True:
+            try:
+                taken.append(zone.alloc())
+            except OutOfMemory:
+                break
+        for frame in taken[: self.FREE_TABLES]:
+            zone.free(frame)
+
+
+@pytest.mark.parametrize(
+    "command", [["attack", "--no-record"], ["trace", "--sample", "*=0.01"]]
+)
+def test_attack_out_of_memory_is_a_clean_exit(command, capsys, monkeypatch):
+    """A spray the page-table zone cannot hold ends with one ``repro:``
+    line and exit 2, not a traceback."""
+    monkeypatch.setitem(DEFENSES, "cta", _CrowdedCTA)
+    code = main(
+        command
+        + ["--machine", "tiny", "--defense", "cta", "--slots", "200", "--pairs", "1"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("repro:") == 1
+    assert "ran out of simulated memory (cta-pt: zone exhausted" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.slow

@@ -5,6 +5,10 @@ import pytest
 from repro.core.pair_finding import PairFinder, slot_stride_for_pairs
 from repro.core.spray import TARGET_PAGE_INDEX, PageTableSpray, marker_value
 from repro.core.tlb_eviction import TLBEvictionSetBuilder
+from repro.defenses import DEFENSE_PRESETS
+from repro.errors import OutOfMemory
+from repro.machine import AttackerView, Machine
+from repro.machine.configs import tiny_test_config
 from repro.params import SUPERPAGE_SIZE
 
 
@@ -49,6 +53,91 @@ def test_scan_detects_remap(machine, attacker, inspector, spray):
     machine.tlb.flush_all()
     mismatches = spray.scan()
     assert any(m.slot == slot and m.page == 0 for m in mismatches)
+
+
+def _per_page_scan(machine, process, spray, slots):
+    """The scan as one marker compare per page: the oracle for the
+    per-slot compare in ``PageTableSpray.scan``."""
+    pages = [
+        (slot, page, spray.page_va(slot, page))
+        for slot in slots
+        for page in range(spray.pages_per_slot)
+    ]
+    values = machine.bulk_read(process, [va for _, _, va in pages])
+    return [
+        (slot, page, va, value)
+        for (slot, page, va), value in zip(pages, values)
+        if value != spray.expected_marker(slot, page)
+    ]
+
+
+@pytest.mark.parametrize(
+    "slot_range", [None, range(30, 100), [90, 5, 33]], ids=["all", "range", "list"]
+)
+def test_scan_matches_a_per_page_compare(machine, attacker, inspector, spray, slot_range):
+    """Corrupt PTEs in two slots — frame-bit remaps, a cleared present
+    bit (healed by the scan) and a frame the module never wrote — then
+    scan one machine and compare each page on an identical fork."""
+    process = attacker.process
+    flips = [(33, 0, 12), (33, 511, 13), (90, 7, 14), (90, 8, 25)]
+    for slot, page, bit in flips:
+        pte = inspector.l1pte_paddr(process, spray.page_va(slot, page))
+        machine.physmem.toggle_bit(pte + bit // 8, bit % 8)
+    pte = inspector.l1pte_paddr(process, spray.page_va(90, 100))
+    machine.physmem.write_word(pte, machine.physmem.read_word(pte) & ~1)
+    twin = machine.fork()
+    slots = range(spray.slots) if slot_range is None else slot_range
+    expected = _per_page_scan(twin, twin.kernel.processes[process.pid], spray, slots)
+    found = [(m.slot, m.page, m.vaddr, m.value) for m in spray.scan(slot_range)]
+    assert found == expected
+    assert {slot for slot, _, _, _ in found} <= {33, 90}
+    if slot_range is None:
+        assert len(found) >= 3  # the remaps show; the healed page does not
+    assert machine.cycles == twin.cycles
+    assert machine.kernel.page_fault_count == twin.kernel.page_fault_count
+
+
+@pytest.mark.parametrize("defense", ["none", "cta", "zebram"])
+def test_spray_restarts_after_running_out_of_page_tables(defense):
+    """Out of page-table frames mid-spray, ``execute`` raises
+    ``OutOfMemory`` without leaving the half-populated slot mapped: a
+    retry fails the same clean way instead of with an overlapping
+    mapping, and once memory is back the spray completes.  Both tiers
+    end in the same state."""
+    states = []
+    for fast in (False, True):
+        machine = Machine(
+            tiny_test_config(seed=4), policy=DEFENSE_PRESETS[defense](), fast_path=fast
+        )
+        attacker = AttackerView(machine, machine.boot_process())
+        zone = machine.policy.zone("pagetable")
+        hoard = []
+        while True:
+            try:
+                hoard.append(zone.alloc())
+            except OutOfMemory:
+                break
+        for frame in hoard[:8]:  # room for a few slots' tables, not all
+            zone.free(frame)
+        spray = PageTableSpray(attacker, slots=12, shm_pages=4)
+        space = attacker.process.address_space
+        with pytest.raises(OutOfMemory):
+            spray.execute()
+        mapped = space.vma_count()
+        assert 0 < mapped < spray.slots
+        with pytest.raises(OutOfMemory):
+            spray.execute()
+        assert space.vma_count() == mapped
+        assert space.find_vma(spray.slot_base(mapped)) is None
+        for frame in hoard[8:]:
+            zone.free(frame)
+        spray.execute()
+        assert space.vma_count() == spray.slots
+        assert spray.scan() == []
+        state = machine.snapshot().state()
+        del state["addrmap"]
+        states.append(state)
+    assert states[0] == states[1]
 
 
 def test_target_va_properties(spray):

@@ -23,7 +23,10 @@ from repro.cache.policies import make_policy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.chaos import ChaosInjector, chaos_profile
 from repro.core import PThammerAttack, PThammerConfig
+from repro.core.spray import PageTableSpray
+from repro.defenses import DEFENSE_PRESETS
 from repro.errors import ConfigError
+from repro.kernel.pagetable import MappingError
 from repro.machine import AttackerView, Machine
 from repro.machine.addrmap import (
     ADDRMAP_MISS,
@@ -33,6 +36,7 @@ from repro.machine.addrmap import (
     resolve_tier,
 )
 from repro.machine.configs import tiny_test_config
+from repro.params import PAGE_SIZE
 from repro.utils.rng import DeterministicRng
 
 
@@ -251,6 +255,116 @@ def test_access_many_collect_returns_per_access_latencies():
     assert latencies[0] == latencies[1]
     assert len(latencies[1]) == 4
     assert all(latency > 0 for latency in latencies[1])
+
+
+# ----------------------------------------------------------------------
+# MAP_POPULATE one L1PT run at a time
+
+#: An anonymous VMA that starts 300 pages into a 2 MiB region and spans
+#: three regions: a partial run, a full one, and a partial one.
+ANON_START = 0x3000_0000_0000 + 300 * PAGE_SIZE
+ANON_PAGES = 212 + 512 + 150
+
+
+def _state_without_addrmap(machine):
+    """Every snapshot component but the ``AddressMap``: the reference
+    tier never fills it, and on the fast tier its hits count runs."""
+    state = machine.snapshot().state()
+    del state["addrmap"]
+    return state
+
+
+def _policy_pair(defense, seed=4):
+    """Reference and fast machines under one placement policy."""
+    pair = []
+    for fast in (False, True):
+        machine = Machine(
+            tiny_test_config(seed=seed),
+            policy=DEFENSE_PRESETS[defense](),
+            fast_path=fast,
+        )
+        pair.append((machine, AttackerView(machine, machine.boot_process())))
+    return pair
+
+
+@pytest.mark.parametrize("defense", ["none", "catt", "cta", "rip-rh", "zebram"])
+def test_populate_by_table_matches_the_reference(defense):
+    """A shm-backed full-L1PT spray and an anonymous VMA spanning three
+    regions from mid-region: the fast tier's per-run populate must
+    leave every component, the fault count included, as the per-page
+    reference does."""
+    machines = []
+    for machine, attacker in _policy_pair(defense):
+        PageTableSpray(attacker, slots=6, shm_pages=4).execute()
+        attacker.mmap(ANON_PAGES, at=ANON_START, populate=True)
+        machines.append(machine)
+    reference, fast = machines
+    assert fast.kernel.page_fault_count == reference.kernel.page_fault_count
+    assert fast.kernel.page_fault_count >= 6 * 512 + ANON_PAGES
+    assert _state_without_addrmap(fast) == _state_without_addrmap(reference)
+
+
+@pytest.mark.parametrize("planted_page", [5, 212, 400])
+def test_populate_stops_at_a_planted_pte_on_both_tiers(planted_page):
+    """A PTE already present inside the range (mid-run, or the first
+    page of a run) makes both tiers raise ``MappingError`` at the same
+    page, then roll the mapping back to equal states."""
+    machines = []
+    errors = []
+    for machine, attacker in _policy_pair("none"):
+        space = attacker.process.address_space
+        planted = ANON_START + planted_page * PAGE_SIZE
+        frame = machine.policy.alloc_user_frame(attacker.process)
+        machine.ptm.map_page(space.cr3, planted, frame)
+        with pytest.raises(MappingError) as error:
+            attacker.mmap(ANON_PAGES, at=ANON_START, populate=True)
+        errors.append(str(error.value))
+        # Rolled back: no VMA, no populated page, the planted PTE kept.
+        assert space.find_vma(ANON_START) is None
+        assert not any(
+            ANON_START <= va < ANON_START + ANON_PAGES * PAGE_SIZE
+            for va in space.populated
+        )
+        assert machine.ptm.lookup(space.cr3, ANON_START) is None
+        assert machine.ptm.lookup(space.cr3, planted) == (frame, 1)
+        machines.append(machine)
+    assert errors[0] == errors[1] == "0x%x is already mapped" % (
+        ANON_START + planted_page * PAGE_SIZE
+    )
+    reference, fast = machines
+    assert fast.kernel.page_fault_count == reference.kernel.page_fault_count
+    assert _state_without_addrmap(fast) == _state_without_addrmap(reference)
+
+
+def test_populate_heals_a_page_already_marked_populated():
+    """A page the kernel already lists as populated takes the reference
+    fault path inside the fast tier's run loop (it is healed, not
+    mapped twice), and the run resumes on a re-resolved table."""
+    machines = []
+    for machine, attacker in _policy_pair("none"):
+        space = attacker.process.address_space
+        stale = ANON_START + 220 * PAGE_SIZE
+        space.populated[stale] = machine.policy.alloc_user_frame(attacker.process)
+        attacker.mmap(ANON_PAGES, at=ANON_START, populate=True)
+        assert machine.ptm.lookup(space.cr3, stale) == (space.populated[stale], 1)
+        machines.append(machine)
+    reference, fast = machines
+    assert fast.kernel.page_fault_count == reference.kernel.page_fault_count
+    assert _state_without_addrmap(fast) == _state_without_addrmap(reference)
+
+
+def test_bulk_read_counts_addrmap_hits_per_run():
+    """The fast tier's bulk read looks each consecutive 2 MiB run up
+    once: a spray scan hits the memo once per slot, not per page."""
+    machine = Machine(tiny_test_config(seed=4), fast_path=True)
+    spray = PageTableSpray(AttackerView(machine, machine.boot_process()), slots=4)
+    spray.execute()
+    assert spray.scan() == []  # fills the memo: one miss per slot
+    before = machine.addrmap.stats()
+    assert spray.scan() == []
+    after = machine.addrmap.stats()
+    assert after["hits"] - before["hits"] == 4
+    assert after["misses"] == before["misses"]
 
 
 # ----------------------------------------------------------------------

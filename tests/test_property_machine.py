@@ -199,10 +199,45 @@ class ReferenceVsFast(RuleBasedStateMachine):
             )
         )
 
-    @rule(region=regions, offsets=_offsets)
-    def read_bulk(self, region, offsets):
-        vaddrs = self._addresses(region, offsets)
+    @rule(
+        picks=st.lists(st.tuples(regions, _offsets), min_size=1, max_size=4),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    def read_bulk(self, picks, shuffle):
+        """Addresses from several regions, runs broken up by a shuffle:
+        the fast tier's per-run table lookup must re-resolve on every
+        region change and after every fault."""
+        vaddrs = [
+            vaddr
+            for region, offsets in picks
+            for vaddr in self._addresses(region, offsets)
+        ]
+        shuffle.shuffle(vaddrs)
         self._both(lambda machine, attacker: attacker.read_bulk(vaddrs))
+
+    @rule(
+        region=regions,
+        page=st.integers(0, 63),
+        bit=st.one_of(st.none(), st.integers(12, 25)),
+    )
+    def corrupt_l1pte(self, region, page, bit):
+        """Clear a mapped page's present bit (the next access heals it)
+        or flip one of its frame bits (a rowhammer remap), with no TLB
+        shootdown."""
+        base, pages = region
+        vaddr = base + (page % pages) * 4096
+
+        def corrupt(machine, attacker):
+            pte = machine.ptm.l1pte_paddr_of(attacker.process.address_space.cr3, vaddr)
+            if pte is None:
+                return None
+            if bit is None:
+                machine.physmem.write_word(pte, machine.physmem.read_word(pte) & ~1)
+            else:
+                machine.physmem.toggle_bit(pte + bit // 8, bit % 8)
+            return pte
+
+        self._both(corrupt)
 
     @rule(region=regions, drop=st.booleans())
     def churn_l1pt(self, region, drop):
@@ -232,6 +267,7 @@ class ReferenceVsFast(RuleBasedStateMachine):
     def engines_agree(self):
         (reference, _), (fast, _) = self.pair
         assert fast.cycles == reference.cycles
+        assert fast.kernel.page_fault_count == reference.kernel.page_fault_count
         assert fast.metrics.snapshot_values() == reference.metrics.snapshot_values()
 
 

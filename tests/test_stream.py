@@ -120,6 +120,40 @@ def test_bus_emit_honours_sampling_inline_path():
     assert stats["seen"] == 40 and stats["kept"] == 10
 
 
+def test_sampled_out_counts_every_drop_mid_run_and_after():
+    # The skip path keeps no counter: sampled_out is derived from the
+    # per-kind skip runs, so it must stay exact while a run is part
+    # spent, after runs end, for rate 0 (a run that never ends) and for
+    # rate 1 (no run at all), and next to budget drops.
+    rates = {"dram": 0.25, "tlb.miss": 0.0, "tlb": 1.0, "*": 0.01}
+    budgets = {"dram": 5}
+    kinds = ["dram.hit", "tlb.miss", "tlb.hit", "walk.fetch"]
+    bus = TraceBus()
+    bus.enable()
+    bus.set_sampling(rates=rates, budgets=budgets)
+    reference = TraceSampler(rates=rates, budgets=budgets)
+    admitted = 0
+    for i in range(600):
+        kind = kinds[i % 4]
+        bus.emit(kind, "test", i=i)
+        admitted += reference.admit(kind)
+    # 150 of each kind: dram.hit keeps slots 0, 4, ... (38) but only 5
+    # fit the budget; walk.fetch keeps 0 and 100 with 50 of a run left.
+    expected = {"seen": 600, "kept": 157, "sampled_out": 410, "budget_dropped": 33}
+    for stats in (bus.sampler.stats(), reference.stats()):
+        assert {key: stats[key] for key in expected} == expected
+    assert len(bus.events) == admitted == 157
+    # 50 more of each: walk.fetch spends its run exactly, dram.hit meets
+    # 12 more keep slots, all over budget.
+    for i in range(200):
+        bus.emit(kinds[i % 4], "test")
+    stats = bus.sampler.stats()
+    assert stats["kept"] == 157 + 50
+    assert stats["budget_dropped"] == 33 + 12
+    assert stats["sampled_out"] == 410 + 38 + 50 + 50
+    assert stats["seen"] == 800
+
+
 def test_set_sampling_clears_with_no_arguments():
     bus = TraceBus()
     assert bus.set_sampling(rates={"*": 0.5}) is bus.sampler
