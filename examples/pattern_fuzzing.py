@@ -4,8 +4,8 @@ Walks the pattern pipeline from docs/PATTERNS.md:
 
 1. write a pattern — parse DSL text into a validated AST, print its
    canonical form and the op stream it unrolls to;
-2. compile it — lower the ops to coalesced ``touch_many`` turbo
-   batches against real hammer targets, and show the step listing
+2. compile it — lower the ops to coalesced ``touch_many`` batches
+   against real hammer targets, and show the step listing
    ``repro patterns show`` prints;
 3. trust it — run the compiled program and the scalar reference
    interpreter on same-seed machines and demand identical virtual
@@ -96,7 +96,7 @@ def main():
         print("  " + line)
 
     print()
-    print("== 3. compiled turbo batches vs the scalar interpreter ==")
+    print("== 3. compiled batches vs the scalar interpreter ==")
     fast = run_rounds(lambda targets: compile_pattern(pattern, targets))
     oracle = run_rounds(lambda targets: PatternInterpreter(pattern, targets))
     same_metrics = json.dumps(fast.metrics.snapshot_values(), sort_keys=True) == json.dumps(

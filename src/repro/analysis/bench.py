@@ -512,7 +512,7 @@ def _hammer_loop_workload(machine, attacker):
 
 
 def _pattern_loop_workload(machine, attacker):
-    """Compiled-pattern rounds: the DSL pipeline's turbo batches.
+    """Compiled-pattern rounds: the DSL pipeline's batched touches.
 
     Same target construction as ``_hammer_loop_workload``, but the
     rounds run through ``repro.patterns`` — the ``delay_slotted``

@@ -22,7 +22,6 @@ from repro.machine.configs import (
 )
 from repro.machine.inspector import Inspector
 from repro.machine.machine import AccessResult, Machine
-from repro.machine.perf import PerfCounters
 from repro.machine.snapshot import SNAPSHOT_VERSION, MachineSnapshot
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "MachineConfig",
     "MachineSnapshot",
     "PSCConfig",
-    "PerfCounters",
     "SNAPSHOT_VERSION",
     "SCALED_MACHINES",
     "TABLE1_MACHINES",

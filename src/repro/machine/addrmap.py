@@ -217,9 +217,10 @@ class AddressMap:
 class CounterBatch:
     """Accumulates counter increments for one deferred flush.
 
-    Duck-types the ``inc`` side of :class:`~repro.machine.perf.PerfCounters`
-    so :class:`~repro.mmu.walker.PageTableWalker` can count into it
-    while a batch is in flight; :meth:`Machine.access_many
+    Duck-types the ``inc`` side of
+    :class:`~repro.observe.metrics.MetricsRegistry` so
+    :class:`~repro.mmu.walker.PageTableWalker` can count into it while
+    a batch is in flight; :meth:`Machine.access_many
     <repro.machine.machine.Machine.access_many>` flushes the totals
     into the real registry in a ``finally`` block, so mid-batch faults
     (chaos transients, SIGSEGV) never lose counts.
@@ -234,9 +235,9 @@ class CounterBatch:
         counts = self.counts
         counts[name] = counts.get(name, 0) + amount
 
-    def flush_into(self, perf):
-        """Add every batched total to ``perf`` and clear the batch."""
+    def flush_into(self, metrics):
+        """Add every batched total to ``metrics`` and clear the batch."""
         for name, amount in self.counts.items():
             if amount:
-                perf.inc(name, amount)
+                metrics.inc(name, amount)
         self.counts.clear()

@@ -7,7 +7,13 @@ for the attack and is only used for evaluating".  Everything here is in
 that spirit: ground truth for scoring, never an attack dependency.
 """
 
+from collections import namedtuple
+
 from repro.machine.perf import DTLB_MISS_WALK, LLC_MISS
+
+#: Counter values at one moment, and the registry generation they
+#: belong to (bumped by every ``MetricsRegistry.reset()``).
+PerfSnapshot = namedtuple("PerfSnapshot", ("counters", "generation"))
 
 
 class Inspector:
@@ -64,8 +70,13 @@ class Inspector:
     # -- performance counters and observability ---------------------------
 
     def perf_snapshot(self):
-        """Snapshot all PMCs."""
-        return self.machine.perf.snapshot_values()
+        """Snapshot all PMCs, as a baseline for the ``*_delta`` probes.
+
+        The snapshot is only a valid baseline until the next
+        ``machine.metrics.reset()``; the deltas detect stale snapshots.
+        """
+        registry = self.machine.metrics
+        return PerfSnapshot(registry.counters(), registry.generation)
 
     def metrics(self):
         """The machine's full metrics registry (counters + histograms)."""
@@ -77,11 +88,26 @@ class Inspector:
 
     def tlb_miss_delta(self, before):
         """dtlb_load_misses.miss_causes_a_walk since a snapshot."""
-        return self.machine.perf.delta(before, DTLB_MISS_WALK)
+        return self._delta(before, DTLB_MISS_WALK)
 
     def llc_miss_delta(self, before):
         """longest_lat_cache.miss since a snapshot."""
-        return self.machine.perf.delta(before, LLC_MISS)
+        return self._delta(before, LLC_MISS)
+
+    def _delta(self, before, name):
+        """Change of one counter since a :meth:`perf_snapshot`.
+
+        Contract: a delta is never negative.  A snapshot from before a
+        registry ``reset()`` is treated as a restarted baseline of zero
+        — the delta is the counter's full post-reset value — and a
+        counter rewound below the baseline (``machine.restore`` of an
+        earlier snapshot) clamps to 0.
+        """
+        registry = self.machine.metrics
+        current = registry.read(name)
+        if before.generation != registry.generation:
+            return current
+        return max(0, current - before.counters.get(name, 0))
 
     # -- maintenance -------------------------------------------------------
 

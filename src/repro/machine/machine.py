@@ -30,7 +30,6 @@ from repro.machine.perf import (
     LLC_REFERENCE,
     LOADS,
     PAGE_FAULTS,
-    PerfCounters,
 )
 from repro.mem.physmem import PhysicalMemory
 from repro.observe import ACCESS, FAULT, MACHINE, MetricsRegistry, TraceBus
@@ -83,7 +82,8 @@ class Machine:
         #: ``machine.trace.enable()`` opts in — docs/OBSERVABILITY.md).
         self.trace = trace if trace is not None else TraceBus()
         self.trace.clock = lambda: self.cycles
-        #: Metrics registry; ``machine.perf`` is a PMC-flavoured view of it.
+        #: Metrics registry; the PMC emulation's counters live here under
+        #: the names in :mod:`repro.machine.perf`.
         self.metrics = MetricsRegistry()
 
         self.physmem = PhysicalMemory(config.dram.size_bytes)
@@ -130,7 +130,6 @@ class Machine:
         self.tlb = TLB(
             config.tlb, self.rng.fork("tlb"), trace=self.trace, fast=self.fast_path
         )
-        self.perf = PerfCounters(self.metrics)
         #: Generation-checked region -> L1PT memo for the fast path
         #: (docs/PERFORMANCE.md); kept in sync by the page-table
         #: manager's ``notify_l1pt_change`` hook below.
@@ -146,7 +145,7 @@ class Machine:
             lambda paddr: self._phys_access(paddr, source="walk"),
             config.cpu,
             frame_mask,
-            self.perf,
+            self.metrics,
             trace=self.trace,
         )
 
@@ -195,7 +194,7 @@ class Machine:
         """
         paddr &= self._paddr_mask
         level = self.caches.access(paddr)
-        self.perf.inc(LLC_REFERENCE)
+        self.metrics.inc(LLC_REFERENCE)
         timings = self.config.cpu
         if level == L1:
             return level, timings.l1_hit
@@ -203,7 +202,7 @@ class Machine:
             return level, timings.l2_hit
         if level == LLC:
             return level, timings.llc_hit
-        self.perf.inc(LLC_MISS)
+        self.metrics.inc(LLC_MISS)
         case, dram_latency = self.dram.access(paddr, self.cycles)
         if self.monitor is not None:
             self.monitor.on_dram_access(paddr, source, self.cycles)
@@ -246,32 +245,14 @@ class Machine:
         latency = cpu.access_base
         if self._noise:
             latency += self._noise_rng.randint(self._noise + 1)
-        space = process.address_space
-        retries = 0
-        while True:
-            try:
-                walk = self.walker.translate(
-                    space.as_id, space.cr3, vaddr, for_write=write
-                )
-                break
-            except PageFault:
-                self.perf.inc(PAGE_FAULTS)
-                if self.trace.enabled:
-                    self.trace.emit(FAULT, MACHINE, vaddr=vaddr, write=write)
-                retries += 1
-                if retries > 4:
-                    # The mapping cannot be repaired (e.g. a corrupted
-                    # intermediate table): the process takes a SIGSEGV.
-                    raise SegmentationFault(vaddr, "fault loop")
-                self.kernel.handle_page_fault(process, vaddr, write)
-                self.cycles += cpu.page_fault
+        walk = self._translate(process, vaddr, write)
         latency += walk.latency
         paddr = walk.paddr & self._paddr_mask
         cache_level, data_latency = self._phys_access(paddr)
         latency += data_latency
         if self.chaos is not None:
             latency += self.chaos.jitter_cycles()
-        self.perf.inc(LOADS)
+        self.metrics.inc(LOADS)
         if write:
             self.physmem.write_word(paddr & ~7, value)
             read_back = value
@@ -289,6 +270,31 @@ class Machine:
                 level=cache_level,
             )
         return AccessResult(paddr, latency, read_back, walk.source, cache_level)
+
+    def _translate(self, process, vaddr, write):
+        """Translate ``vaddr``, letting the kernel service page faults.
+
+        Each fault charges the kernel's handling cost and retries; the
+        fifth fault in a row means the kernel cannot repair the mapping
+        (e.g. a corrupted intermediate table), and the process takes a
+        SIGSEGV.
+        """
+        space = process.address_space
+        retries = 0
+        while True:
+            try:
+                return self.walker.translate(
+                    space.as_id, space.cr3, vaddr, for_write=write
+                )
+            except PageFault:
+                self.metrics.inc(PAGE_FAULTS)
+                if self.trace.enabled:
+                    self.trace.emit(FAULT, MACHINE, vaddr=vaddr, write=write)
+                retries += 1
+                if retries > 4:
+                    raise SegmentationFault(vaddr, "fault loop")
+                self.kernel.handle_page_fault(process, vaddr, write)
+                self.cycles += self.config.cpu.page_fault
 
     def access_many(self, process, vaddrs, collect=False):
         """Execute many loads back to back (the batch form of :meth:`access`).
@@ -313,9 +319,7 @@ class Machine:
             for vaddr in vaddrs:
                 self.access(process, vaddr)
             return None
-        if self.trace.enabled or self.chaos is not None or self.monitor is not None:
-            return self._access_many_fast(process, vaddrs, collect)
-        return self._access_many_turbo(process, vaddrs, collect)
+        return self._access_many_fast(process, vaddrs, collect)
 
     def _access_many_fast(self, process, vaddrs, collect):
         """The batched loop: :meth:`access` with its fast cases inlined.
@@ -325,16 +329,20 @@ class Machine:
         replacement-state side effects replicated exactly; every slow
         case (sTLB, walks, faults, cache fills, DRAM) falls through to
         the real component methods, so rare paths run the reference
-        code.  The walker's ``perf``/``phys_access`` attributes are
+        code.  The walker's ``metrics``/``phys_access`` attributes are
         swapped for the duration so its page-table fetches also count
-        into the batch.  Counters accumulate locally and flush in the
-        ``finally`` block: totals match the scalar path even when a
-        chaos transient or :class:`SegmentationFault` aborts the batch
-        midway.
+        into the batch.
 
-        This variant keeps ``self.cycles`` live at every step because
-        trace events stamp it and chaos/monitor hooks read it;
-        :meth:`_access_many_turbo` handles the untraced common case.
+        The clock, the instruction sequence number and the MLP
+        bookkeeping live in locals; they and the counters are written
+        back in the ``finally`` block, so totals match the scalar path
+        even when a chaos transient or :class:`SegmentationFault`
+        aborts the batch midway.  Whether anything can observe the
+        machine mid-batch is decided once per batch: trace events stamp
+        ``self.cycles`` and chaos churn reads it, so with a tracer,
+        chaos injector or DRAM monitor attached the loop also stores
+        the clock after every charge and runs the hooks.  The monitor
+        gets the local clock, which then equals ``self.cycles``.
         """
         cpu = self.config.cpu
         access_base = cpu.access_base
@@ -352,12 +360,16 @@ class Machine:
         space = process.address_space
         as_id = space.as_id
         cr3 = space.cr3
-        chaos = self.chaos
         noise = self._noise
         noise_randint = self._noise_rng.randint
-        trace = self.trace
-        perf = self.perf
+        noise_bound = noise + 1
+        metrics = self.metrics
         kernel_fault = self.kernel.handle_page_fault
+        trace = self.trace
+        chaos = self.chaos
+        monitor = self.monitor
+        tracing = trace.enabled
+        observed = tracing or chaos is not None or monitor is not None
 
         tlb = self.tlb
         tlb_l1 = tlb.l1
@@ -366,233 +378,6 @@ class Machine:
         # With the default linear dTLB mapping the set is one AND; inline
         # it to skip a lambda call per access (None = non-linear mapping,
         # fall back to the mapping function).
-        l1_tlb_linear_mask = (
-            tlb_l1.sets - 1 if self.config.tlb.l1d_mapping == "linear" else None
-        )
-        tlb_frames = tlb._frames
-        tlb_lookup = tlb.lookup
-        tlb_lookup_huge = tlb.lookup_huge
-        caches_access = self.caches.access
-        dram_access = self.dram.access
-        noise_bound = noise + 1
-
-        dtlb_hits = 0
-        llc_refs = 0
-        llc_misses = 0
-        page_faults = 0
-        loads = 0
-        latencies = [] if collect else None
-
-        def walk_phys(paddr):
-            # _phys_access(source="walk") with its counters batched; the
-            # walker calls this for every page-table-entry fetch.
-            nonlocal llc_refs, llc_misses
-            paddr &= paddr_mask
-            level = caches_access(paddr)
-            llc_refs += 1
-            if level == L1:
-                return level, l1_lat
-            if level == L2:
-                return level, l2_lat
-            if level == LLC:
-                return level, llc_lat
-            llc_misses += 1
-            case, dram_latency = dram_access(paddr, self.cycles)
-            if self.monitor is not None:
-                self.monitor.on_dram_access(paddr, "walk", self.cycles)
-            pipelined = (
-                self._dram_ops_this_instr == 0
-                and self._last_dram_instr == self._instr_seq - 1
-                and case != "conflict"
-            )
-            self._dram_ops_this_instr += 1
-            self._last_dram_instr = self._instr_seq
-            if pipelined:
-                return MEM, pipelined_lat
-            return MEM, miss_extra + dram_latency
-
-        walker = self.walker
-        walk_miss = walker._walk
-        batch = CounterBatch()
-        saved_perf = walker.perf
-        saved_phys = walker.phys_access
-        walker.perf = batch
-        walker.phys_access = walk_phys
-        try:
-            for vaddr in vaddrs:
-                self._instr_seq += 1
-                self._dram_ops_this_instr = 0
-                if chaos is not None:
-                    chaos.on_access(vaddr)
-                latency = access_base
-                if noise:
-                    latency += noise_randint(noise_bound)
-
-                # -- translation: inlined L1-dTLB probe ----------------
-                vpn = vaddr >> PAGE_SHIFT
-                tag = (as_id, vpn)
-                source = None
-                if l1_tlb_linear_mask is not None:
-                    state = l1_tlb_state.get(vpn & l1_tlb_linear_mask)
-                else:
-                    state = l1_tlb_state.get(l1_set_of(vpn))
-                if state is not None and tag in state.tags:
-                    state.policy.touch(state.tags.index(tag))
-                    tlb_l1.hits += 1
-                    if trace.enabled:
-                        trace.emit(TLB_HIT, TLB_COMPONENT, level=TLB_L1, vpn=vpn)
-                    dtlb_hits += 1
-                    source = TLB_L1
-                    paddr = (
-                        (tlb_frames[tag] << PAGE_SHIFT) | (vaddr & page_off_mask)
-                    ) & paddr_mask
-                if source is None:
-                    # The probe above is side-effect-free on a miss, so
-                    # the real lookup below counts the one L1 miss the
-                    # scalar path would.  This block replicates access()'s
-                    # translate-and-retry loop.
-                    retries = 0
-                    while True:
-                        try:
-                            level, frame = tlb_lookup(as_id, vpn)
-                            if level != TLB_MISS:
-                                latency += 0 if level == TLB_L1 else l2_penalty
-                                dtlb_hits += 1
-                                source = level
-                                paddr = (
-                                    (frame << PAGE_SHIFT)
-                                    | (vaddr & page_off_mask)
-                                ) & paddr_mask
-                                break
-                            hlevel, hframe = tlb_lookup_huge(
-                                as_id, vaddr >> SUPERPAGE_SHIFT
-                            )
-                            if hlevel != TLB_MISS:
-                                dtlb_hits += 1
-                                source = "tlb_huge"
-                                paddr = (
-                                    (hframe << PAGE_SHIFT)
-                                    | (vaddr & super_off_mask)
-                                ) & paddr_mask
-                                break
-                            walk = walk_miss(as_id, cr3, vaddr, False)
-                            latency += walk.latency
-                            source = walk.source
-                            paddr = walk.paddr & paddr_mask
-                            break
-                        except PageFault:
-                            page_faults += 1
-                            if trace.enabled:
-                                trace.emit(
-                                    FAULT, MACHINE, vaddr=vaddr, write=False
-                                )
-                            retries += 1
-                            if retries > 4:
-                                raise SegmentationFault(vaddr, "fault loop")
-                            kernel_fault(process, vaddr, False)
-                            self.cycles += page_fault_cycles
-
-                # -- data access ---------------------------------------
-                cache_level = caches_access(paddr)
-                llc_refs += 1
-                if cache_level == L1:
-                    latency += l1_lat
-                elif cache_level == L2:
-                    latency += l2_lat
-                elif cache_level == LLC:
-                    latency += llc_lat
-                else:
-                    llc_misses += 1
-                    case, dram_latency = dram_access(paddr, self.cycles)
-                    if self.monitor is not None:
-                        self.monitor.on_dram_access(paddr, "load", self.cycles)
-                    pipelined = (
-                        self._dram_ops_this_instr == 0
-                        and self._last_dram_instr == self._instr_seq - 1
-                        and case != "conflict"
-                    )
-                    self._dram_ops_this_instr += 1
-                    self._last_dram_instr = self._instr_seq
-                    if pipelined:
-                        latency += pipelined_lat
-                    else:
-                        latency += miss_extra + dram_latency
-
-                if chaos is not None:
-                    latency += chaos.jitter_cycles()
-                loads += 1
-                # The scalar path reads the word here; reads are pure
-                # (no state, no cycle charge), so the batch skips them.
-                self.cycles += latency
-                if trace.enabled:
-                    trace.emit(
-                        ACCESS,
-                        MACHINE,
-                        vaddr=vaddr,
-                        paddr=paddr,
-                        latency=latency,
-                        source=source,
-                        level=cache_level,
-                    )
-                if collect:
-                    latencies.append(latency)
-        finally:
-            walker.perf = saved_perf
-            walker.phys_access = saved_phys
-            batch.flush_into(perf)
-            if dtlb_hits:
-                perf.inc(DTLB_HIT, dtlb_hits)
-            if llc_refs:
-                perf.inc(LLC_REFERENCE, llc_refs)
-            if llc_misses:
-                perf.inc(LLC_MISS, llc_misses)
-            if page_faults:
-                perf.inc(PAGE_FAULTS, page_faults)
-            if loads:
-                perf.inc(LOADS, loads)
-        return latencies
-
-    def _access_many_turbo(self, process, vaddrs, collect):
-        """:meth:`_access_many_fast` for the untraced, hook-free case.
-
-        With tracing off and no chaos injector or DRAM monitor
-        attached, nothing outside this loop can observe
-        ``self.cycles``, ``self._instr_seq``, or the MLP bookkeeping
-        mid-batch (trace events stamp cycles; chaos and monitor hooks
-        read them; none are active).  The loop therefore keeps that
-        machine state in locals and writes it back in the ``finally``
-        block — including on a mid-batch :class:`SegmentationFault` —
-        cutting several attribute round-trips per access.  Every state
-        transition matches the scalar path exactly; the equivalence
-        suite runs both this variant (untraced) and the general one
-        (traced/chaos) against the reference path.
-        """
-        cpu = self.config.cpu
-        access_base = cpu.access_base
-        l1_lat = cpu.l1_hit
-        l2_lat = cpu.l2_hit
-        llc_lat = cpu.llc_hit
-        miss_extra = cpu.llc_miss_extra
-        pipelined_lat = cpu.dram_pipelined
-        l2_penalty = cpu.tlb_l2_penalty
-        page_fault_cycles = cpu.page_fault
-        page_off_mask = PAGE_SIZE - 1
-        super_off_mask = SUPERPAGE_SIZE - 1
-        paddr_mask = self._paddr_mask
-
-        space = process.address_space
-        as_id = space.as_id
-        cr3 = space.cr3
-        noise = self._noise
-        noise_randint = self._noise_rng.randint
-        noise_bound = noise + 1
-        perf = self.perf
-        kernel_fault = self.kernel.handle_page_fault
-
-        tlb = self.tlb
-        tlb_l1 = tlb.l1
-        l1_tlb_state = tlb_l1._state
-        l1_set_of = tlb.l1_set_of
         l1_tlb_linear_mask = (
             tlb_l1.sets - 1 if self.config.tlb.l1d_mapping == "linear" else None
         )
@@ -630,6 +415,8 @@ class Machine:
                 return level, llc_lat
             llc_misses += 1
             case, dram_latency = dram_access(paddr, cycles)
+            if monitor is not None:
+                monitor.on_dram_access(paddr, "walk", cycles)
             pipelined = (
                 dram_ops == 0 and last_dram == instr_seq - 1 and case != "conflict"
             )
@@ -642,14 +429,16 @@ class Machine:
         walker = self.walker
         walk_miss = walker._walk
         batch = CounterBatch()
-        saved_perf = walker.perf
+        saved_metrics = walker.metrics
         saved_phys = walker.phys_access
-        walker.perf = batch
+        walker.metrics = batch
         walker.phys_access = walk_phys
         try:
             for vaddr in vaddrs:
                 instr_seq += 1
                 dram_ops = 0
+                if chaos is not None:
+                    chaos.on_access(vaddr)
                 latency = access_base
                 if noise:
                     latency += noise_randint(noise_bound)
@@ -664,11 +453,18 @@ class Machine:
                 if state is not None and tag in state.tags:
                     state.policy.touch(state.tags.index(tag))
                     tlb_l1.hits += 1
+                    if tracing:
+                        trace.emit(TLB_HIT, TLB_COMPONENT, level=TLB_L1, vpn=vpn)
                     dtlb_hits += 1
+                    source = TLB_L1
                     paddr = (
                         (tlb_frames[tag] << PAGE_SHIFT) | (vaddr & page_off_mask)
                     ) & paddr_mask
                 else:
+                    # The probe above is side-effect-free on a miss, so
+                    # the real lookup below counts the one L1 miss the
+                    # scalar path would.  This block replicates
+                    # _translate()'s retry loop.
                     retries = 0
                     while True:
                         try:
@@ -677,6 +473,7 @@ class Machine:
                                 if level != TLB_L1:
                                     latency += l2_penalty
                                 dtlb_hits += 1
+                                source = level
                                 paddr = (
                                     (frame << PAGE_SHIFT) | (vaddr & page_off_mask)
                                 ) & paddr_mask
@@ -686,21 +483,27 @@ class Machine:
                             )
                             if hlevel != TLB_MISS:
                                 dtlb_hits += 1
+                                source = "tlb_huge"
                                 paddr = (
                                     (hframe << PAGE_SHIFT) | (vaddr & super_off_mask)
                                 ) & paddr_mask
                                 break
                             walk = walk_miss(as_id, cr3, vaddr, False)
                             latency += walk.latency
+                            source = walk.source
                             paddr = walk.paddr & paddr_mask
                             break
                         except PageFault:
                             page_faults += 1
+                            if tracing:
+                                trace.emit(FAULT, MACHINE, vaddr=vaddr, write=False)
                             retries += 1
                             if retries > 4:
                                 raise SegmentationFault(vaddr, "fault loop")
                             kernel_fault(process, vaddr, False)
                             cycles += page_fault_cycles
+                            if observed:
+                                self.cycles = cycles
 
                 # -- data access ---------------------------------------
                 cache_level = caches_access(paddr)
@@ -714,6 +517,8 @@ class Machine:
                 else:
                     llc_misses += 1
                     case, dram_latency = dram_access(paddr, cycles)
+                    if monitor is not None:
+                        monitor.on_dram_access(paddr, "load", cycles)
                     pipelined = (
                         dram_ops == 0
                         and last_dram == instr_seq - 1
@@ -726,10 +531,24 @@ class Machine:
                     else:
                         latency += miss_extra + dram_latency
 
+                if chaos is not None:
+                    latency += chaos.jitter_cycles()
                 loads += 1
                 # The scalar path reads the word here; reads are pure
                 # (no state, no cycle charge), so the batch skips them.
                 cycles += latency
+                if observed:
+                    self.cycles = cycles
+                    if tracing:
+                        trace.emit(
+                            ACCESS,
+                            MACHINE,
+                            vaddr=vaddr,
+                            paddr=paddr,
+                            latency=latency,
+                            source=source,
+                            level=cache_level,
+                        )
                 if collect:
                     latencies.append(latency)
         finally:
@@ -737,19 +556,19 @@ class Machine:
             self._instr_seq = instr_seq
             self._dram_ops_this_instr = dram_ops
             self._last_dram_instr = last_dram
-            walker.perf = saved_perf
+            walker.metrics = saved_metrics
             walker.phys_access = saved_phys
-            batch.flush_into(perf)
+            batch.flush_into(metrics)
             if dtlb_hits:
-                perf.inc(DTLB_HIT, dtlb_hits)
+                metrics.inc(DTLB_HIT, dtlb_hits)
             if llc_refs:
-                perf.inc(LLC_REFERENCE, llc_refs)
+                metrics.inc(LLC_REFERENCE, llc_refs)
             if llc_misses:
-                perf.inc(LLC_MISS, llc_misses)
+                metrics.inc(LLC_MISS, llc_misses)
             if page_faults:
-                perf.inc(PAGE_FAULTS, page_faults)
+                metrics.inc(PAGE_FAULTS, page_faults)
             if loads:
-                perf.inc(LOADS, loads)
+                metrics.inc(LOADS, loads)
         return latencies
 
     #: Flat per-read cycle charge for bulk scans: a TLB-missing,
@@ -877,22 +696,16 @@ class Machine:
 
         Only works on memory the process can touch — the instruction
         cannot flush kernel lines, which is why PThammer needs eviction
-        sets in the first place.
+        sets in the first place.  Translation faults are serviced as
+        for :meth:`access`, and a mapping the kernel cannot repair
+        raises :class:`SegmentationFault`.
         """
-        space = process.address_space
         self._instr_seq += 1
         self._dram_ops_this_instr = 0
-        while True:
-            try:
-                walk = self.walker.translate(space.as_id, space.cr3, vaddr)
-                break
-            except PageFault:
-                self.perf.inc(PAGE_FAULTS)
-                self.kernel.handle_page_fault(process, vaddr, write=False)
-                self.cycles += self.config.cpu.page_fault
-        self.caches.flush_line(walk.paddr & self._paddr_mask)
+        paddr = self._translate(process, vaddr, False).paddr & self._paddr_mask
+        self.caches.flush_line(paddr)
         self.cycles += 40  # clflush costs tens of cycles retired
-        return walk.paddr & self._paddr_mask
+        return paddr
 
     #: Kernel entry/exit cost of a trivial system call.
     SYSCALL_BASE_CYCLES = 180

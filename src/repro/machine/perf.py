@@ -1,20 +1,14 @@
-"""Performance-monitoring counters (PMC emulation) — compatibility shim.
+"""Performance-monitoring counter names (PMC emulation).
 
 The paper uses a small kernel module reading Intel PMCs —
 ``dtlb_load_misses.miss_causes_a_walk`` and
 ``longest_lat_cache.miss`` — to calibrate eviction-set sizes offline
-(Algorithms in Section III).  This class is that kernel module's
-counter store; :class:`repro.machine.inspector.Inspector` exposes it to
-evaluation code only.
-
-Since the observability refactor the counters themselves live in a
-:class:`repro.observe.metrics.MetricsRegistry` (``machine.metrics``);
-``PerfCounters`` is a thin view over it kept for API stability.  New
-code should use the registry directly — it adds histograms and timers
-on top of plain counters.
+(Algorithms in Section III).  The simulator counts those events into
+the machine's :class:`repro.observe.metrics.MetricsRegistry`
+(``machine.metrics``) under the names below;
+:class:`repro.machine.inspector.Inspector` exposes snapshots and
+deltas of them to evaluation code only.
 """
-
-from repro.observe.metrics import MetricsRegistry
 
 #: Counter names used across the simulator.
 DTLB_MISS_WALK = "dtlb_load_misses.miss_causes_a_walk"
@@ -23,68 +17,3 @@ LLC_MISS = "longest_lat_cache.miss"
 LLC_REFERENCE = "longest_lat_cache.reference"
 PAGE_FAULTS = "page_faults"
 LOADS = "mem_uops_retired.all_loads"
-
-
-class PerfSnapshot(dict):
-    """A counter snapshot that remembers the registry generation.
-
-    Behaves as a plain ``dict`` of counter values; the extra
-    ``generation`` lets :meth:`PerfCounters.delta` detect that a
-    :meth:`PerfCounters.reset` happened after the snapshot was taken.
-    """
-
-    __slots__ = ("generation",)
-
-
-class PerfCounters:
-    """A named-counter store with cheap snapshot/delta support.
-
-    Thin view over a :class:`MetricsRegistry`; constructing one without
-    a registry creates a private registry, preserving the historical
-    standalone behaviour.
-    """
-
-    def __init__(self, registry=None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def inc(self, name, amount=1):
-        """Add to a counter, creating it at zero."""
-        self.registry.inc(name, amount)
-
-    def read(self, name):
-        """Current value of a counter (0 if never incremented)."""
-        return self.registry.read(name)
-
-    def snapshot_values(self):
-        """Copy of all counters, for later delta computation.
-
-        The snapshot is only a valid baseline until the next
-        :meth:`reset`; :meth:`delta` detects stale snapshots.
-
-        (Renamed from ``snapshot()`` so that name unambiguously means
-        the machine-state protocol of docs/SNAPSHOTS.md.)
-        """
-        snap = PerfSnapshot(self.registry.counters())
-        snap.generation = self.registry.generation
-        return snap
-
-    def delta(self, before, name):
-        """Change of one counter since a snapshot.
-
-        Contract: counters are monotonic between resets, so a delta is
-        always >= 0.  Historically a ``reset()`` between ``snapshot()``
-        and ``delta()`` silently produced *negative* values (current
-        value 0-ish minus the stale baseline).  Now a snapshot from a
-        previous generation is treated as a restarted baseline of zero
-        — the delta is the counter's full post-reset value — and any
-        residual negative (a hand-built ``before`` dict) clamps to 0.
-        """
-        current = self.read(name)
-        generation = getattr(before, "generation", None)
-        if generation is not None and generation != self.registry.generation:
-            return current
-        return max(0, current - before.get(name, 0))
-
-    def reset(self):
-        """Zero everything (between experiments); invalidates snapshots."""
-        self.registry.reset()

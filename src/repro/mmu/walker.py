@@ -57,7 +57,7 @@ class PageTableWalker:
     """MMU translation front end: TLBs + paging-structure caches + walks."""
 
     def __init__(
-        self, tlb, psc_config, physmem, phys_access, timings, frame_mask, perf,
+        self, tlb, psc_config, physmem, phys_access, timings, frame_mask, metrics,
         trace=None,
     ):
         self.tlb = tlb
@@ -69,7 +69,9 @@ class PageTableWalker:
         self.phys_access = phys_access
         self.timings = timings
         self.frame_mask = frame_mask
-        self.perf = perf
+        #: Counter sink (``inc(name, amount=1)``): the machine's metrics
+        #: registry, swapped for a batch-local one by ``access_many``.
+        self.metrics = metrics
         self.pml4_cache = PagingStructureCache(psc_config.pml4e_entries, "PML4E")
         self.pdpte_cache = PagingStructureCache(psc_config.pdpte_entries, "PDPTE")
         self.pde_cache = PagingStructureCache(psc_config.pde_entries, "PDE")
@@ -84,7 +86,7 @@ class PageTableWalker:
         level, frame = self.tlb.lookup(as_id, vpn)
         if level != TLB_MISS:
             latency = 0 if level == "tlb_l1" else self.timings.tlb_l2_penalty
-            self.perf.inc("dtlb_load_hits")
+            self.metrics.inc("dtlb_load_hits")
             return WalkResult(
                 (frame << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1)),
                 latency,
@@ -94,7 +96,7 @@ class PageTableWalker:
             )
         huge_level, huge_frame = self.tlb.lookup_huge(as_id, superpage_number_of(vaddr))
         if huge_level != TLB_MISS:
-            self.perf.inc("dtlb_load_hits")
+            self.metrics.inc("dtlb_load_hits")
             return WalkResult(
                 (huge_frame << PAGE_SHIFT) | (vaddr & (SUPERPAGE_SIZE - 1)),
                 0,
@@ -106,7 +108,7 @@ class PageTableWalker:
 
     def _walk(self, as_id, cr3_frame, vaddr, for_write):
         """Resolve a TLB miss from the deepest paging-structure-cache hit."""
-        self.perf.inc("dtlb_load_misses.miss_causes_a_walk")
+        self.metrics.inc("dtlb_load_misses.miss_causes_a_walk")
         if self._trace.enabled:
             self._trace.emit(TLB_MISS_EVENT, TLB_COMPONENT, vpn=vaddr >> PAGE_SHIFT)
         latency = self.timings.walk_base

@@ -1,8 +1,6 @@
 """Metrics registry: counters, histograms, and timers.
 
-This replaces and supersedes the original 44-line ``PerfCounters``
-dict (which survives as a thin compatibility shim in
-:mod:`repro.machine.perf`).  Three instrument types:
+Three instrument types:
 
 * **counters** — monotonic named integers; the PMC emulation
   (``dtlb_load_misses.miss_causes_a_walk`` etc.) lives here.
@@ -205,7 +203,7 @@ class MetricsRegistry:
         self._counters = {}
         self._histograms = {}
         #: Bumped by :meth:`reset`; snapshots taken before a reset are
-        #: recognisably stale (see ``PerfCounters.delta``).
+        #: recognisably stale (see ``Inspector.tlb_miss_delta``).
         self.generation = 0
 
     # -- counters --------------------------------------------------------

@@ -5,8 +5,8 @@ patterns (TeleHammer's framing); this package makes the family
 first-class.  A pattern is parsed from a small DSL
 (:mod:`~repro.patterns.parser`), validated as an AST
 (:mod:`~repro.patterns.model`), then resolved → unrolled → compiled
-(:mod:`~repro.patterns.compiler`) down to ``touch_many`` turbo
-batches, with a scalar reference interpreter kept as the equivalence
+(:mod:`~repro.patterns.compiler`) down to batched ``touch_many``
+calls, with a scalar reference interpreter kept as the equivalence
 oracle.  Built-ins register by name (:mod:`~repro.patterns.builtins`)
 and a seeded randomizer (:mod:`~repro.patterns.fuzz`) draws novel
 patterns for fuzzing campaigns.  Grammar reference and tutorial:

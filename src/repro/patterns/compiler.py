@@ -138,7 +138,7 @@ class CompiledPattern:
     """A pattern lowered to ``touch_many``/``nop``/``sync`` steps.
 
     ``steps`` is the executable program: ``("touch", addrs)`` runs one
-    ``attacker.touch_many(addrs)`` turbo batch, ``("nop", count)``
+    ``attacker.touch_many(addrs)`` batch, ``("nop", count)``
     burns cycles, ``("sync", interval)`` spins to the next multiple of
     ``interval`` cycles.  ``ops`` keeps the unrolled op stream the
     steps were lowered from, for inspection and the oracle tests.
@@ -189,7 +189,7 @@ def compile_pattern(
     :class:`PatternError` at compile time rather than a surprise at
     run time.  ``coalesce=False`` keeps one ``touch`` step per
     ``hammer`` op — useful for debugging; the default merges adjacent
-    batches into single turbo calls.
+    batches into single ``touch_many`` calls.
     """
     binding = resolve(pattern, targets)
     ops = unroll(pattern)

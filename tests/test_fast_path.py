@@ -23,11 +23,14 @@ from repro.cache.policies import make_policy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.chaos import ChaosInjector, chaos_profile
 from repro.core import PThammerAttack, PThammerConfig
+from repro.core.hammer import DoubleSidedHammer, HammerTarget
+from repro.core.llc_pool import EvictionSet
 from repro.core.spray import PageTableSpray
 from repro.defenses import DEFENSE_PRESETS
+from repro.defenses.anvil import AnvilDetector
 from repro.errors import ConfigError
 from repro.kernel.pagetable import MappingError
-from repro.machine import AttackerView, Machine
+from repro.machine import AttackerView, Inspector, Machine
 from repro.machine.addrmap import (
     ADDRMAP_MISS,
     TIER_FAST,
@@ -76,31 +79,77 @@ def _assert_equivalent(reference, fast, trace=False):
 # whole-run equivalence
 
 
+def _double_sided_hammer(machine, attacker):
+    """A double-sided hammer over two targets with hand-built eviction
+    sets; every round is two ``touch_many`` batches."""
+    sets = machine.config.tlb.l1d_sets
+    base = attacker.mmap(12 * sets + 40, populate=True)
+    targets = []
+    for t in (0, 1):
+        tlb_set = [base + (i * sets + t) * 4096 + 2048 for i in range(12)]
+        lines = [base + (12 * sets + 13 * t + i) * 4096 + 17 * 64 for i in range(13)]
+        va = base + (12 * sets + 26 + t) * 4096
+        targets.append(HammerTarget(va, tlb_set, EvictionSet(lines, 17)))
+    return DoubleSidedHammer(attacker, targets[0], targets[1])
+
+
 @pytest.mark.slow
 def test_traced_hammer_rounds_are_byte_identical():
     """Real hammer rounds with the event firehose on: the trace —
     every TLB hit, cache fill, DRAM activate, at its exact cycle —
     must not betray which engine produced it."""
-    from repro.core.hammer import DoubleSidedHammer, HammerTarget
-    from repro.core.llc_pool import EvictionSet
-
     machines = []
     for machine, attacker in _machine_pair(seed=11, trace=True):
-        sets = machine.config.tlb.l1d_sets
-        base = attacker.mmap(12 * sets + 40, populate=True)
-        targets = []
-        for t in (0, 1):
-            tlb_set = [base + (i * sets + t) * 4096 + 2048 for i in range(12)]
-            lines = [
-                base + (12 * sets + 13 * t + i) * 4096 + 17 * 64 for i in range(13)
-            ]
-            va = base + (12 * sets + 26 + t) * 4096
-            targets.append(HammerTarget(va, tlb_set, EvictionSet(lines, 17)))
-        DoubleSidedHammer(attacker, targets[0], targets[1]).run(rounds=40)
+        _double_sided_hammer(machine, attacker).run(rounds=40)
         machines.append(machine)
     reference, fast = machines
     assert len(fast.trace.events) > 0
     _assert_equivalent(reference, fast, trace=True)
+
+
+class _RecordingMonitor:
+    """A DRAM monitor that logs every request it is shown."""
+
+    def __init__(self):
+        self.log = []
+
+    def on_dram_access(self, paddr, source, now):
+        self.log.append((paddr, source, now))
+
+
+def _monitored_hammer_rounds(make_monitor):
+    """Batched hammer rounds under a DRAM monitor on both engines;
+    asserts equal clocks, metrics, flips and monitor state, and returns
+    the fast engine's monitor.  Quiescing the caches between chunks
+    sends the walker's page-table fetches to DRAM too."""
+    outcomes = []
+    for machine, attacker in _machine_pair(seed=11):
+        monitor = make_monitor(machine)
+        machine.attach_monitor(monitor)
+        hammer = _double_sided_hammer(machine, attacker)
+        for _ in range(5):
+            Inspector(machine).quiesce_caches()
+            hammer.run(rounds=40)
+        state = {k: v for k, v in vars(monitor).items() if k != "machine"}
+        outcomes.append((machine.cycles, _metrics(machine), machine.dram.flips, state))
+    reference, fast = outcomes
+    assert fast == reference
+    return monitor
+
+
+def test_monitor_log_matches_across_engines_through_batches():
+    """Every request, source and clock value the batch loop reports."""
+    monitor = _monitored_hammer_rounds(lambda machine: _RecordingMonitor())
+    assert {source for _, source, _ in monitor.log} == {"load", "walk"}
+
+
+def test_anvil_refreshes_identically_through_batches():
+    """ANVIL watching walks flags and refreshes the same rows."""
+    anvil = _monitored_hammer_rounds(
+        lambda machine: AnvilDetector(machine, watch_walks=True)
+    )
+    assert anvil.mitigations > 0
+    assert anvil.flagged_rows
 
 
 @pytest.mark.slow
@@ -203,8 +252,8 @@ def test_access_many_matches_scalar_loop_untraced():
 
 
 def test_access_many_matches_scalar_loop_traced():
-    """With tracing on, access_many takes its general (non-turbo)
-    variant; events must still interleave identically."""
+    """With tracing on, the batch loop also stores the clock and emits
+    events at every step; they must interleave identically."""
     scalar, batched = _batch_vs_scalar(trace=True)
     assert len(batched.trace.events) > 0
     _assert_equivalent(scalar, batched, trace=True)
@@ -240,6 +289,18 @@ def test_demand_paging_faults_match_across_tiers():
     counters = machines[0].metrics.snapshot_values()["counters"]
     assert counters["page_faults"] >= 16
     _assert_equivalent(*machines)
+
+
+def test_traced_demand_paging_faults_match_across_tiers():
+    """The same faulting batch traced: the fault events and everything
+    after them stamp the clock the kernel's handling cost advanced."""
+    machines = []
+    for machine, attacker in _machine_pair(seed=5, trace=True):
+        base = attacker.mmap(16, populate=False)
+        attacker.touch_many([base + i * 4096 for i in range(16)] * 2)
+        machines.append(machine)
+    assert machines[0].trace.counts_by_kind()["fault"] == 16
+    _assert_equivalent(*machines, trace=True)
 
 
 def test_access_many_collect_returns_per_access_latencies():

@@ -34,6 +34,37 @@ def test_latency_orders(setup):
     assert flushed > warm
 
 
+def test_clflush_gives_up_on_an_unrepairable_mapping():
+    """A paging-structure-cache entry that outlives its dropped L1PT
+    makes every walk fault again after the kernel repairs the tables.
+    ``clflush`` must end that loop with ``access``'s SIGSEGV, and both
+    tiers must charge the same cycles and counters on the way."""
+    machines = []
+    for fast in (False, True):
+        machine = Machine(tiny_test_config(seed=5), fast_path=fast)
+        attacker = AttackerView(machine, machine.boot_process())
+        va = attacker.mmap(4, populate=True)
+        attacker.touch(va)
+        machine.tlb.flush_all()  # the PDE-cache entry survives
+        machine.ptm.drop_l1pt(attacker.process.address_space.cr3, va)
+        handle_page_fault = machine.kernel.handle_page_fault
+        calls = []
+
+        def bounded(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 50:
+                raise AssertionError("clflush retried the fault forever")
+            return handle_page_fault(*args, **kwargs)
+
+        machine.kernel.handle_page_fault = bounded
+        with pytest.raises(SegmentationFault, match="fault loop"):
+            attacker.clflush(va)
+        machines.append(machine)
+    reference, fast = machines
+    assert fast.cycles == reference.cycles
+    assert fast.metrics.snapshot_values() == reference.metrics.snapshot_values()
+
+
 def test_write_read_through_va(setup):
     machine, process, attacker = setup
     va = attacker.mmap(1, populate=True)
@@ -54,18 +85,18 @@ def test_llc_miss_counter(setup):
     machine, process, attacker = setup
     va = attacker.mmap(1, populate=True)
     attacker.touch(va)
-    before = machine.perf.read(LLC_MISS)
+    before = machine.metrics.read(LLC_MISS)
     attacker.clflush(va)
     attacker.touch(va)
-    assert machine.perf.read(LLC_MISS) > before
+    assert machine.metrics.read(LLC_MISS) > before
 
 
 def test_page_fault_counter(setup):
     machine, process, attacker = setup
     va = attacker.mmap(1)
-    before = machine.perf.read(PAGE_FAULTS)
+    before = machine.metrics.read(PAGE_FAULTS)
     attacker.touch(va)
-    assert machine.perf.read(PAGE_FAULTS) == before + 1
+    assert machine.metrics.read(PAGE_FAULTS) == before + 1
 
 
 def test_bulk_read_values_match_access(setup):

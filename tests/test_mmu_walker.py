@@ -30,9 +30,9 @@ def test_first_access_walks_then_tlb_hits(booted):
 def test_walk_counts_pmc(booted):
     machine, process = booted
     va = machine.kernel.sys_mmap(process, 1, populate=True)
-    before = machine.perf.read(DTLB_MISS_WALK)
+    before = machine.metrics.read(DTLB_MISS_WALK)
     machine.access(process, va)
-    assert machine.perf.read(DTLB_MISS_WALK) == before + 1
+    assert machine.metrics.read(DTLB_MISS_WALK) == before + 1
 
 
 def test_pde_cache_shortens_second_walk(booted):

@@ -7,7 +7,7 @@ Covers the contracts documented in docs/OBSERVABILITY.md:
   TLB miss -> walk fetches -> DRAM activation causal chain;
 * spans always record (timeline/round_costs work untraced);
 * the metrics registry's counters/histograms/timers;
-* ``PerfCounters.delta`` never goes negative across ``reset()``;
+* the inspector's PMC deltas never go negative across ``reset()``;
 * the JSONL trace file round-trips losslessly and profiles identically.
 """
 
@@ -22,7 +22,8 @@ from repro.analysis import (
 )
 from repro.analysis.profile import TRACE_SCHEMA_VERSION
 from repro.errors import ConfigError
-from repro.machine.perf import DTLB_MISS_WALK, LOADS, PerfCounters
+from repro.machine import Inspector
+from repro.machine.perf import DTLB_MISS_WALK, LOADS
 from repro.observe import (
     ACCESS,
     ALL_KINDS,
@@ -260,7 +261,8 @@ def test_machine_metrics_back_perf_counters(machine, attacker):
     attacker.read(_cold_vaddr(attacker))
     assert machine.metrics.read(DTLB_MISS_WALK) >= 1
     assert machine.metrics.read(LOADS) >= 1
-    assert machine.perf.read(DTLB_MISS_WALK) == machine.metrics.read(DTLB_MISS_WALK)
+    counters = Inspector(machine).perf_snapshot().counters
+    assert counters[DTLB_MISS_WALK] == machine.metrics.read(DTLB_MISS_WALK)
 
 
 def test_histogram_snapshot_merge_round_trip():
@@ -305,35 +307,35 @@ def test_registry_snapshot_merge_is_commutative():
 
 
 # ----------------------------------------------------------------------
-# PerfCounters.delta across reset
+# Inspector PMC deltas across reset
 
 
-def test_perf_delta_normal_path():
-    perf = PerfCounters()
-    perf.registry.inc(LOADS, 5)
-    before = perf.snapshot_values()
-    perf.registry.inc(LOADS, 7)
-    assert perf.delta(before, LOADS) == 7
+def test_perf_delta_normal_path(machine, inspector):
+    machine.metrics.inc(DTLB_MISS_WALK, 5)
+    before = inspector.perf_snapshot()
+    machine.metrics.inc(DTLB_MISS_WALK, 7)
+    assert inspector.tlb_miss_delta(before) == 7
+    assert inspector.llc_miss_delta(before) == 0
 
 
-def test_perf_delta_never_negative_after_reset():
-    perf = PerfCounters()
-    perf.registry.inc(LOADS, 100)
-    before = perf.snapshot_values()
-    perf.reset()
-    perf.registry.inc(LOADS, 3)
+def test_perf_delta_never_negative_after_reset(machine, inspector):
+    machine.metrics.inc(DTLB_MISS_WALK, 100)
+    before = inspector.perf_snapshot()
+    machine.metrics.reset()
+    machine.metrics.inc(DTLB_MISS_WALK, 3)
     # The naive subtraction would give 3 - 100 = -97; the generation
     # check recognises the stale snapshot and returns the post-reset
     # count instead.
-    assert perf.delta(before, LOADS) == 3
-    assert perf.delta(before, LOADS) >= 0
+    assert inspector.tlb_miss_delta(before) == 3
 
 
-def test_perf_delta_tolerates_plain_dict_snapshots():
-    perf = PerfCounters()
-    perf.registry.inc(LOADS, 4)
-    assert perf.delta({LOADS: 1}, LOADS) == 3
-    assert perf.delta({LOADS: 10}, LOADS) == 0  # clamped, not negative
+def test_perf_delta_clamps_when_a_restore_rewinds_counters(machine, inspector):
+    snap = machine.snapshot()
+    machine.metrics.inc(DTLB_MISS_WALK, 4)
+    before = inspector.perf_snapshot()
+    # Same generation, but the counter is back below the baseline.
+    machine.restore(snap)
+    assert inspector.tlb_miss_delta(before) == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Compiled patterns must match the reference interpreter exactly.
 
-The compiler lowers a pattern to coalesced ``touch_many`` turbo
+The compiler lowers a pattern to coalesced ``touch_many``
 batches; the :class:`~repro.patterns.PatternInterpreter` replays the
 same unrolled op stream with scalar ``attacker.touch`` calls.  The
 contract: same virtual cycles, same metrics snapshot, same trace
@@ -90,7 +90,7 @@ def _interpreted(pattern, targets, interval):
 )
 @pytest.mark.parametrize("fast", [False, True])
 def test_compiled_matches_interpreter(name, fast):
-    """The oracle: coalesced turbo batches vs scalar touches, event for
+    """The oracle: coalesced batches vs scalar touches, event for
     event, on both engines."""
     compiled = _run_pattern(name, fast, _compiled)
     interpreted = _run_pattern(name, fast, _interpreted)
@@ -114,7 +114,7 @@ def test_compiled_fast_matches_compiled_reference(name):
 
 def test_coalescing_is_behaviourally_invisible():
     """coalesce=False (one touch step per hammer op) must not change
-    anything observable — it only splits the turbo batches."""
+    anything observable — it only splits the batches."""
 
     def uncoalesced(pattern, targets, interval):
         compiled = compile_pattern(
@@ -161,7 +161,7 @@ def test_single_target_binding_degrades_like_single_sided():
     binding = resolve(get("four_sided"), targets)
     assert set(binding.values()) == {targets[0]}
     compiled = compile_pattern(get("four_sided"), targets)
-    # 4 hammers of the same target coalesce into one turbo batch.
+    # 4 hammers of the same target coalesce into one batch.
     assert [step[0] for step in compiled.steps] == ["touch"]
     assert compiled.steps[0][1] == hammer_batch(targets[0]) * 4
 

@@ -11,7 +11,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.errors import ReproError, SegmentationFault
+from repro.chaos import ChaosInjector, chaos_profile
+from repro.errors import ReproError, SegmentationFault, TransientFault
 from repro.machine import AttackerView, Machine
 from repro.machine.configs import tiny_test_config
 from repro.mmu.tlb import TLB
@@ -138,37 +139,75 @@ def test_tlb_invalidate_removes(vpns):
 _offsets = st.lists(st.integers(0, (1 << 18) - 1), min_size=1, max_size=48)
 
 
+class _RecordingMonitor:
+    """A DRAM monitor that logs every request it is shown."""
+
+    def __init__(self):
+        self.log = []
+
+    def on_dram_access(self, paddr, source, now):
+        self.log.append((paddr, source, now))
+
+
+def _observations(machine):
+    """Trace events (field order normalised) and the monitor's log."""
+    events = [
+        (event.kind, event.component, event.cycle, sorted(event.fields.items()))
+        for event in machine.trace.events
+    ]
+    return events, machine.monitor.log if machine.monitor is not None else None
+
+
 class ReferenceVsFast(RuleBasedStateMachine):
     """One reference and one fast machine driven by the same steps.
 
     The reference engine is the oracle: every rule runs identically on
     both machines and asserts equal return values, and the invariant
-    asserts equal virtual cycles and metrics after every step.  A
-    divergence shrinks to a minimal step sequence.
+    asserts equal virtual cycles, metrics, trace events and DRAM
+    monitor logs after every step.  Each run draws what observes the
+    machines — nothing, a tracer, the ``desktop`` chaos profile or a
+    recording monitor — so the batch loop runs both unobserved and
+    observed.  A divergence shrinks to a minimal step sequence.
     """
 
     regions = Bundle("regions")
 
-    @initialize(seed=st.integers(1, 1000))
-    def boot(self, seed):
+    @initialize(
+        seed=st.integers(1, 1000),
+        observer=st.sampled_from(["none", "trace", "chaos", "monitor"]),
+    )
+    def boot(self, seed, observer):
+        self.observer = observer
         self.pair = []
         for fast in (False, True):
             machine = Machine(tiny_test_config(seed=seed), fast_path=fast)
+            self._observed(machine)
             self.pair.append((machine, AttackerView(machine, machine.boot_process())))
+
+    def _observed(self, machine, monitor=None):
+        """Attach the drawn observer; a restored machine keeps ``monitor``."""
+        if self.observer == "trace":
+            machine.trace.enable()
+        elif self.observer == "chaos":
+            machine.attach_chaos(ChaosInjector(chaos_profile("desktop")))
+        elif self.observer == "monitor":
+            machine.attach_monitor(monitor or _RecordingMonitor())
+        return machine
 
     def _both(self, step):
         """Run ``step(machine, attacker)`` on both engines; assert equal outcomes.
 
         A SIGSEGV is an outcome too (churn without a TLB shootdown can
-        leave a walk looping on a stale table): both engines must
-        raise it at the same point and continue from the same state.
+        leave a walk looping on a stale table), and so is a chaos
+        ``TransientFault``: both engines must raise it at the same
+        point and continue from the same state.
         """
         outcomes = []
         for machine, attacker in self.pair:
             try:
                 outcomes.append(step(machine, attacker))
-            except SegmentationFault as fault:
-                outcomes.append(("SIGSEGV", str(fault)))
+            except (SegmentationFault, TransientFault) as fault:
+                outcomes.append((type(fault).__name__, str(fault)))
         reference, fast = outcomes
         assert fast == reference
         return reference
@@ -239,6 +278,17 @@ class ReferenceVsFast(RuleBasedStateMachine):
 
         self._both(corrupt)
 
+    @rule(region=regions, page=st.integers(0, 63))
+    def clflush(self, region, page):
+        """Flush a drawn page's line.  After ``churn_l1pt`` a stale
+        paging-structure entry can make its translation fault forever;
+        both engines must give up with the same SIGSEGV."""
+        base, pages = region
+        vaddr = base + (page % pages) * 4096
+        self._both(
+            lambda machine, attacker: machine.clflush(attacker.process, vaddr)
+        )
+
     @rule(region=regions, drop=st.booleans())
     def churn_l1pt(self, region, drop):
         base, _ = region
@@ -257,7 +307,10 @@ class ReferenceVsFast(RuleBasedStateMachine):
         restored = []
         for machine, attacker in self.pair:
             snap = machine.snapshot()
-            fresh = Machine(machine.config, fast_path=machine.fast_path).restore(snap)
+            fresh = Machine(
+                machine.config, trace=machine.trace, fast_path=machine.fast_path
+            )
+            self._observed(fresh, monitor=machine.monitor).restore(snap)
             assert fresh.snapshot().fingerprint() == snap.fingerprint()
             process = fresh.kernel.processes[attacker.process.pid]
             restored.append((fresh, AttackerView(fresh, process)))
@@ -269,6 +322,12 @@ class ReferenceVsFast(RuleBasedStateMachine):
         assert fast.cycles == reference.cycles
         assert fast.kernel.page_fault_count == reference.kernel.page_fault_count
         assert fast.metrics.snapshot_values() == reference.metrics.snapshot_values()
+        assert _observations(fast) == _observations(reference)
+        # Both agree up to here; compare only what later steps add.
+        for machine, _ in self.pair:
+            machine.trace.clear()
+            if machine.monitor is not None:
+                machine.monitor.log.clear()
 
 
 ReferenceVsFast.TestCase.settings = settings(

@@ -395,8 +395,6 @@ def test_snapshot_values_is_the_only_registry_dump():
     # The one-release deprecation aliases from the snapshot() ->
     # snapshot_values() rename are gone; the old name must not quietly
     # reappear and shadow the machine-state protocol of docs/SNAPSHOTS.md.
-    from repro.machine.perf import PerfCounters
     from repro.observe import MetricsRegistry
 
     assert not hasattr(MetricsRegistry(), "snapshot")
-    assert not hasattr(PerfCounters(), "snapshot")
