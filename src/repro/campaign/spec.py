@@ -98,7 +98,9 @@ class SupervisorConfig:
     #: A worker silent (no heartbeat, no result) for this long is
     #: presumed hung and killed; must exceed the slowest shard.
     liveness_timeout: float = 60.0
-    #: Supervisor loop tick, host seconds.
+    #: Longest the supervisor sleeps (host seconds, capped at 0.25)
+    #: before it checks control markers, signals and liveness; a
+    #: worker exit wakes it at once.
     poll_interval: float = 0.05
     #: Seconds in-flight shards get to finish on pause/cancel before
     #: being killed (they re-run on resume; results are unaffected).

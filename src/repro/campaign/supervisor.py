@@ -68,6 +68,13 @@ def _pid_alive(pid):
     return True
 
 
+def _tick(spec):
+    """The longest the supervisor sleeps before it checks its control
+    markers, signals and worker liveness again: ``poll_interval``,
+    capped at 0.25 s.  A worker exit ends the sleep at once."""
+    return max(0.001, min(spec.supervisor.poll_interval, 0.25))
+
+
 class Campaign:
     """One campaign's durable directory: journal, spools, results."""
 
@@ -298,6 +305,7 @@ class Supervisor:
         self._announce_run(spec, plan)
         aggregator = TelemetryAggregator(campaign.spool_dir, clock=self.clock)
         cells_done = set(folded["cells_done"])
+        tick = _tick(spec)
 
         previous = {
             signal.SIGTERM: signal.signal(signal.SIGTERM, self._on_signal),
@@ -323,7 +331,7 @@ class Supervisor:
                         spec, plan, scheduler, started, no_record
                     )
                 self._launch(scheduler, spec, now)
-                time.sleep(max(0.001, min(spec.supervisor.poll_interval, 0.25)))
+                self._wait(tick)
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
@@ -381,6 +389,18 @@ class Supervisor:
                 "attempt": attempt,
                 "launched": now,
             }
+
+    def _wait(self, timeout):
+        """Sleep up to ``timeout`` host seconds; a worker exit wakes it.
+
+        Waits on the in-flight workers' process sentinels, not on
+        ``os.wait()``, which would reap children behind
+        ``multiprocessing``'s back and lose their exit codes.  With
+        nothing in flight this is a plain sleep.
+        """
+        from multiprocessing.connection import wait
+
+        wait([entry["proc"].sentinel for entry in self.inflight.values()], timeout)
 
     def _reap(self, scheduler, plan, cells_done):
         for key in list(self.inflight):
@@ -490,11 +510,12 @@ class Supervisor:
         """Honour a pause/cancel: grace-drain in-flight work, checkpoint."""
         request = self._stop_request
         deadline = self.clock() + spec.supervisor.grace
+        tick = _tick(spec)
         cells_done = set()  # cell-done entries re-derive on resume
         while self.inflight and self.clock() < deadline:
+            self._wait(min(tick, deadline - self.clock()))
             aggregator.poll()
             self._reap(scheduler, self.plan, cells_done)
-            time.sleep(min(0.02, spec.supervisor.poll_interval or 0.02))
         self._kill_inflight(scheduler)
         self.campaign.clear_control()
         if request == "cancel":

@@ -68,17 +68,20 @@ class ChaosInjector:
     # -- snapshot protocol (docs/SNAPSHOTS.md) --------------------------
 
     def state_dict(self):
-        """Per-source stream positions, keyed by source name."""
+        """Per-source stream positions and schedules, keyed by source name."""
         return {
             "streams": {
                 source.name: stream.state_dict()
                 for source, stream in zip(self.sources, self._streams)
-            }
+            },
+            "schedules": {
+                source.name: source.state_dict() for source in self.sources
+            },
         }
 
     def load_state(self, state):
-        """Restore stream positions into a same-profile injector."""
-        streams = state["streams"]
+        """Restore stream positions and schedules into a same-profile injector."""
+        streams, schedules = state["streams"], state["schedules"]
         names = [source.name for source in self.sources]
         if sorted(streams) != sorted(names):
             raise ConfigError(
@@ -87,6 +90,7 @@ class ChaosInjector:
             )
         for source, stream in zip(self.sources, self._streams):
             stream.load_state(streams[source.name])
+            source.load_state(schedules[source.name])
 
     def __repr__(self):
         return "ChaosInjector(%s, attached=%s)" % (

@@ -63,6 +63,13 @@ class NoiseSource:
         """The constructor parameters, for ``repro chaos show``."""
         return {}
 
+    def state_dict(self):
+        """Schedule state beyond the RNG stream (docs/SNAPSHOTS.md)."""
+        return {}
+
+    def load_state(self, state):
+        """Restore what :meth:`state_dict` captured."""
+
     def __repr__(self):
         inner = ", ".join("%s=%r" % kv for kv in sorted(self.params().items()))
         return "%s(%s)" % (type(self).__name__, inner)
@@ -228,6 +235,12 @@ class PageTableChurn(NoiseSource):
             "fraction": self.fraction,
             "drop_fraction": self.drop_fraction,
         }
+
+    def state_dict(self):
+        return {"next_due": self._next_due}
+
+    def load_state(self, state):
+        self._next_due = state["next_due"]
 
 
 class TransientFaultInjector(NoiseSource):

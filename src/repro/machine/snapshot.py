@@ -45,8 +45,8 @@ from repro.utils.serialize import pack, unpack
 
 #: Bump when the snapshot payload schema changes incompatibly.  A
 #: snapshot from another version never half-loads: :class:`MachineSnapshot`
-#: refuses it up front.
-SNAPSHOT_VERSION = 1
+#: refuses it up front.  Version 2 added the chaos sources' schedules.
+SNAPSHOT_VERSION = 2
 
 #: Sub-config dataclasses of :class:`MachineConfig`, keyed by field name
 #: — the recipe for rebuilding a config from its serialized dict.
@@ -83,7 +83,7 @@ class MachineSnapshot:
 
     Wraps a JSON-safe payload dict::
 
-        {"version": 1, "machine": <config name>,
+        {"version": 2, "machine": <config name>,
          "config": <packed asdict(config)>,
          "config_fingerprint": <16-hex-char hash>,
          "fast_path": bool, "state": <packed component trees>,

@@ -291,9 +291,10 @@ class TelemetryAggregator:
     """Incrementally merges a spool directory into rolling statistics.
 
     ``poll()`` tails ``run.jsonl`` plus every ``worker-*.jsonl`` from
-    the byte offset it last reached — cheap enough to call once per
-    finished task, and safe to call from a different process than the
-    writers (``repro dash`` attaches to a live run's spool).  Torn
+    the byte offset it last reached, re-reading only the files that
+    grew since — cheap enough to call once per finished task or
+    supervisor wake, and safe to call from a different process than
+    the writers (``repro dash`` attaches to a live run's spool).  Torn
     trailing lines (a worker killed mid-write) are retried on the next
     poll and never abort aggregation.
     """
@@ -320,24 +321,30 @@ class TelemetryAggregator:
     # -- ingest ----------------------------------------------------------
 
     def poll(self):
-        """Ingest new spool lines; returns how many were applied."""
-        applied = 0
-        names = []
-        run_path = os.path.join(self.spool_dir, "run.jsonl")
-        if os.path.isfile(run_path):
-            names.append("run.jsonl")
+        """Ingest new spool lines; returns how many were applied.
+
+        One directory scan finds the spool files that grew past the
+        byte offset already consumed, and only those are opened: a file
+        that has not grown costs a ``stat``, not a read.
+        """
+        grown = []
         try:
-            entries = sorted(os.listdir(self.spool_dir))
+            with os.scandir(self.spool_dir) as entries:
+                for entry in entries:
+                    name = entry.name
+                    if name == "run.jsonl" or (
+                        name.startswith("worker-") and name.endswith(".jsonl")
+                    ):
+                        try:
+                            size = entry.stat().st_size
+                        except OSError:
+                            continue
+                        if size > self._offsets.get(name, 0):
+                            grown.append(name)
         except OSError:
-            entries = []
-        names.extend(
-            name
-            for name in entries
-            if name.startswith("worker-") and name.endswith(".jsonl")
-        )
-        for name in names:
-            applied += self._drain(name)
-        return applied
+            return 0
+        # Sorted, run.jsonl drains first, then the worker files by name.
+        return sum(self._drain(name) for name in sorted(grown))
 
     def _drain(self, name):
         path = os.path.join(self.spool_dir, name)

@@ -8,6 +8,7 @@ workload.  Subprocess-level crash recovery lives in
 
 import json
 import os
+import time
 
 import pytest
 
@@ -103,6 +104,29 @@ def test_pause_and_resume_results_are_byte_identical():
     second = Supervisor(campaign).run(no_record=True)
     assert second == COMPLETED
     assert results_bytes(campaign) == results_bytes(baseline)
+
+
+def test_worker_exit_not_the_tick_launches_the_next_shard():
+    """A finished shard frees its slot at once.  Eight serial shards
+    under a 0.25 s tick would take at least 2 s if each launch waited
+    for the tick; woken by each worker's exit they take a fraction."""
+    spec = make_spec(
+        shards_per_cell=4,
+        supervisor={
+            "jobs": 1,
+            "poll_interval": 0.25,
+            "heartbeat_interval": 0.05,
+            "liveness_timeout": 30.0,
+            "backoff": 0.01,
+            "grace": 2.0,
+        },
+    )
+    started = time.perf_counter()
+    campaign, state = run_campaign(spec)
+    elapsed = time.perf_counter() - started
+    assert state == COMPLETED
+    assert campaign.status()["shards_done"] == 8
+    assert elapsed < 1.0, elapsed
 
 
 def test_completed_campaign_cannot_be_resumed():

@@ -101,23 +101,27 @@ def test_restore_then_hammer_is_byte_identical(fast):
 
 
 @pytest.mark.parametrize("fast", [False, True])
-def test_restore_under_chaos_churn_is_byte_identical(fast):
+@pytest.mark.parametrize("profile,rounds", [("desktop", 30), ("server", 150)])
+def test_restore_under_chaos_churn_is_byte_identical(fast, profile, rounds):
     """Same contract with a chaos injector attached: the churn streams
-    (page-table migrations that invalidate the fast path's memos) are
-    part of the state and must resume mid-stream."""
-    machine, attacker = _boot(seed=7, fast=fast, chaos="desktop")
+    (page-table migrations that invalidate the fast path's memos) and
+    the churn schedule are part of the state and must resume
+    mid-stream.  ``server`` snapshots after its first churn (due at
+    150,000 cycles), so a restore that forgot when the next one is due
+    would churn on its first access."""
+    machine, attacker = _boot(seed=7, fast=fast, chaos=profile)
     sets = machine.config.tlb.l1d_sets
     base = attacker.mmap(12 * sets + 40, populate=True)
-    _hammer_for(machine, attacker, base).run(rounds=30)
+    _hammer_for(machine, attacker, base).run(rounds=rounds)
     snap = machine.snapshot(meta={"pid": attacker.process.pid})
 
-    _hammer_for(machine, attacker, base).run(rounds=30)
+    _hammer_for(machine, attacker, base).run(rounds=rounds)
 
     clone = Machine(tiny_test_config(seed=7), fast_path=fast)
-    clone.attach_chaos(ChaosInjector(chaos_profile("desktop")))
+    clone.attach_chaos(ChaosInjector(chaos_profile(profile)))
     clone.restore(snap)
     clone_attacker = AttackerView(clone, clone.kernel.processes[snap.meta["pid"]])
-    _hammer_for(clone, clone_attacker, base).run(rounds=30)
+    _hammer_for(clone, clone_attacker, base).run(rounds=rounds)
 
     assert clone.cycles == machine.cycles
     assert _metrics(clone) == _metrics(machine)

@@ -20,6 +20,7 @@ from repro.observe import (
     parse_budget_spec,
     parse_rate_spec,
 )
+from repro.observe import stream
 from repro.observe.ledger import RunLedger
 from repro.observe.stream import (
     SeriesBuckets,
@@ -296,6 +297,41 @@ def test_aggregator_retries_torn_trailing_lines(tmp_path):
     worker.write_text(full + "\n" + torn + "\n")  # ... the writer finishes it
     aggregator.poll()
     assert aggregator.tasks == 2 and aggregator.flips == 3
+
+
+def test_aggregator_rereads_only_spool_files_that_grew(tmp_path, monkeypatch):
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    (spool / "run.jsonl").write_text(
+        json.dumps({"type": "run-begin", "experiment": "x", "tasks": 5,
+                    "jobs": 1, "t": 0.0}) + "\n"
+    )
+
+    def task_line(pid, key):
+        return json.dumps({"type": "task", "t": 1.0, "pid": pid, "key": key,
+                           "ok": True, "seconds": 0.5, "flips": 1,
+                           "cycles": 10}) + "\n"
+
+    for pid in range(1, 6):
+        (spool / ("worker-%d.jsonl" % pid)).write_text(task_line(pid, "a"))
+    aggregator = TelemetryAggregator(str(spool), clock=lambda: 2.0)
+    assert aggregator.poll() == 6
+
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(stream, "open", counting_open, raising=False)
+    assert aggregator.poll() == 0
+    assert opened == []
+    with real_open(spool / "worker-3.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(task_line(3, "b"))
+    assert aggregator.poll() == 1
+    assert opened == ["worker-3.jsonl"]
+    assert aggregator.tasks == 6
 
 
 def test_aggregator_skips_damaged_lines(tmp_path):
