@@ -311,6 +311,25 @@ def _experiment_bench(name, options_fn):
     return runner
 
 
+def _interleaved_best(variants, rounds=3):
+    """Best ``time.process_time`` seconds and last result per variant.
+
+    ``variants`` maps a name to an untimed setup that returns the
+    zero-argument callable to time.  Each round runs every variant
+    once, in order, so host drift hits all of them alike.  The benches
+    below gate a ratio of these seconds: host wall time is too noisy.
+    """
+    best, results = {}, {}
+    for _ in range(rounds):
+        for name, setup in variants.items():
+            timed = setup()
+            started = time.process_time()
+            results[name] = timed()
+            elapsed = time.process_time() - started
+            best[name] = min(best.get(name, elapsed), elapsed)
+    return best, results
+
+
 def _fast_path_bench(workload, seed):
     """A reference-vs-fast engine benchmark (docs/PERFORMANCE.md).
 
@@ -319,12 +338,11 @@ def _fast_path_bench(workload, seed):
     timed (setup like ``mmap --populate`` costs the same on both
     engines and would dilute the ratio).  It runs on two machines
     built from the same seed — one with ``fast_path=False`` (the
-    reference engine) and one with ``fast_path=True`` — interleaved,
-    best of three, timed with ``time.process_time`` (host wall time is
-    too noisy to gate a ratio on).  The virtual clocks must agree
-    exactly: the fast engine is required to be behaviourally
-    invisible, so a cycle mismatch is reported as a failed outcome
-    rather than a timing number.
+    reference engine) and one with ``fast_path=True`` — through
+    :func:`_interleaved_best`.  The virtual clocks must agree exactly:
+    the fast engine is required to be behaviourally invisible, so a
+    cycle mismatch is reported as a failed outcome rather than a timing
+    number.
     """
 
     def runner():
@@ -332,23 +350,20 @@ def _fast_path_bench(workload, seed):
         from repro.machine.attacker import AttackerView
         from repro.machine.configs import tiny_test_config
 
-        best = {False: None, True: None}
-        cycles = {}
-        for _ in range(3):
-            for fast in (False, True):
-                config = tiny_test_config(seed=seed)
-                machine = Machine(config, fast_path=fast)
-                attacker = AttackerView(machine, machine.boot_process())
-                hot_loop = workload(machine, attacker)
-                started = time.process_time()
-                hot_loop()
-                elapsed = time.process_time() - started
-                if best[fast] is None or elapsed < best[fast]:
-                    best[fast] = elapsed
-                cycles[fast] = machine.cycles
-        reference_seconds = best[False]
-        fast_seconds = best[True]
-        cycles_equal = cycles[False] == cycles[True]
+        machines = {}
+
+        def setup(name):
+            machine = machines[name] = Machine(
+                tiny_test_config(seed=seed), fast_path=name == "fast"
+            )
+            return workload(machine, AttackerView(machine, machine.boot_process()))
+
+        best, _ = _interleaved_best(
+            {"reference": lambda: setup("reference"), "fast": lambda: setup("fast")}
+        )
+        reference_seconds = best["reference"]
+        fast_seconds = best["fast"]
+        cycles_equal = machines["reference"].cycles == machines["fast"].cycles
         return {
             "machine": "tiny-test",
             "config_fingerprint": config_fingerprint(tiny_test_config(seed=seed)),
@@ -359,7 +374,7 @@ def _fast_path_bench(workload, seed):
                 # immune to absolute host speed, so it travels between
                 # machines far better than the raw seconds.
                 "fast_over_reference": round(fast_seconds / reference_seconds, 4),
-                "virtual_cycles": cycles[True],
+                "virtual_cycles": machines["fast"].cycles,
             },
             "outcome": {
                 "speedup": round(reference_seconds / fast_seconds, 3),
@@ -378,12 +393,11 @@ def _warm_start_bench():
     phases (calibration, spray, LLC prep).  Warm is what the engine's
     ``--warm-start`` collapses it to: boot plus
     :meth:`~repro.machine.machine.Machine.restore` of the post-prepare
-    snapshot.  Interleaved, best of three, ``time.process_time`` — the
-    same discipline as the fast-path benchmarks, for the same reason:
-    the gated number is the ``warm_over_cold`` ratio, not raw seconds.
-    Restores must be byte-identical to cold setups, so a snapshot
-    fingerprint mismatch between the two machines is a failed outcome,
-    not a timing artifact.
+    snapshot.  Both run through :func:`_interleaved_best`; the gated
+    number is the ``warm_over_cold`` ratio, not raw seconds.  Restores
+    must be byte-identical to cold setups, so a snapshot fingerprint
+    mismatch between the two machines is a failed outcome, not a timing
+    artifact.
     """
     from repro.core.pthammer import PThammerAttack, PThammerConfig, PThammerReport
     from repro.machine import AttackerView, Machine
@@ -399,23 +413,19 @@ def _warm_start_bench():
         attack.prepare(PThammerReport(machine_name=config.name, superpages=True))
         return machine
 
+    def warm_setup():
+        return Machine(tiny_test_config(seed=1)).restore(snap)
+
     snap = cold_setup().snapshot()  # captured once, outside the timed loops
-    best = {"cold": None, "warm": None}
-    fingerprints = {}
-    for _ in range(3):
-        started = time.process_time()
-        machine = cold_setup()
-        elapsed = time.process_time() - started
-        if best["cold"] is None or elapsed < best["cold"]:
-            best["cold"] = elapsed
-        fingerprints["cold"] = machine.snapshot().fingerprint()
-        started = time.process_time()
-        machine = Machine(tiny_test_config(seed=1)).restore(snap)
-        elapsed = time.process_time() - started
-        if best["warm"] is None or elapsed < best["warm"]:
-            best["warm"] = elapsed
-        fingerprints["warm"] = machine.snapshot().fingerprint()
-    states_equal = fingerprints["cold"] == fingerprints["warm"] == snap.fingerprint()
+    # No untimed preparation: each variant's whole setup is what is timed.
+    best, machines = _interleaved_best(
+        {"cold": lambda: cold_setup, "warm": lambda: warm_setup}
+    )
+    states_equal = (
+        machines["cold"].snapshot().fingerprint()
+        == machines["warm"].snapshot().fingerprint()
+        == snap.fingerprint()
+    )
     return {
         "machine": "tiny-test",
         "config_fingerprint": config_fingerprint(tiny_test_config(seed=1)),
@@ -425,7 +435,7 @@ def _warm_start_bench():
             # Gated ratio (lower is better; time.* regress upward): the
             # setup-collapse factor warm start buys per trial.
             "warm_over_cold": round(best["warm"] / best["cold"], 4),
-            "virtual_cycles": machine.cycles,
+            "virtual_cycles": machines["warm"].cycles,
         },
         "outcome": {
             "setup_collapse": round(best["cold"] / best["warm"], 3),
@@ -449,27 +459,21 @@ def _sampled_trace_bench():
     from repro.machine.attacker import AttackerView
     from repro.machine.configs import tiny_test_config
 
-    best = {"off": None, "sampled": None}
-    cycles = {}
-    stats = None
-    for _ in range(3):
-        for mode in ("off", "sampled"):
-            config = tiny_test_config(seed=11)
-            machine = Machine(config)
-            attacker = AttackerView(machine, machine.boot_process())
-            if mode == "sampled":
-                machine.trace.enable()
-                machine.trace.set_sampling(rates={"*": 0.01}, budgets={"*": 100000})
-            hot_loop = _hammer_loop_workload(machine, attacker)
-            started = time.process_time()
-            hot_loop()
-            elapsed = time.process_time() - started
-            if best[mode] is None or elapsed < best[mode]:
-                best[mode] = elapsed
-            cycles[mode] = machine.cycles
-            if mode == "sampled":
-                stats = machine.trace.sampler.stats()
-    cycles_equal = cycles["off"] == cycles["sampled"]
+    machines = {}
+
+    def setup(mode):
+        machine = machines[mode] = Machine(tiny_test_config(seed=11))
+        if mode == "sampled":
+            machine.trace.enable()
+            machine.trace.set_sampling(rates={"*": 0.01}, budgets={"*": 100000})
+        attacker = AttackerView(machine, machine.boot_process())
+        return _hammer_loop_workload(machine, attacker)
+
+    best, _ = _interleaved_best(
+        {"off": lambda: setup("off"), "sampled": lambda: setup("sampled")}
+    )
+    cycles_equal = machines["off"].cycles == machines["sampled"].cycles
+    stats = machines["sampled"].trace.sampler.stats()
     return {
         "machine": "tiny-test",
         "config_fingerprint": config_fingerprint(tiny_test_config(seed=11)),
@@ -479,7 +483,7 @@ def _sampled_trace_bench():
             # Gated ratio (lower is better; time.* regress upward): the
             # cost of leaving 1 %-sampled tracing on during a campaign.
             "sampled_over_off": round(best["sampled"] / best["off"], 4),
-            "virtual_cycles": cycles["sampled"],
+            "virtual_cycles": machines["sampled"].cycles,
         },
         "outcome": {
             "cycles_equal": 1 if cycles_equal else 0,

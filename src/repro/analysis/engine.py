@@ -421,7 +421,8 @@ def load_checkpoint(path):
     """
     header = None
     records = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    # Bytes, so a line that is not UTF-8 is one more undecodable line.
+    with open(path, "rb") as handle:
         lines = handle.read().splitlines()
     content_numbers = [
         number for number, line in enumerate(lines, 1) if line.strip()

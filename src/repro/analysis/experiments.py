@@ -47,6 +47,8 @@ from repro.machine.configs import (
     machine_preset,
     tiny_test_config,
 )
+from repro.patterns import names as pattern_names
+from repro.utils.cliargs import padding_list, positive_int, size_list
 from repro.utils.stats import Histogram, RunningStats, percentile_summary
 from repro.utils.units import cycles_to_seconds, format_duration, format_size
 
@@ -120,18 +122,6 @@ def _parse_machines(value):
     if not names:
         raise ConfigError("--machines needs at least one preset name")
     return tuple(machine_preset(name) for name in names)
-
-
-def _parse_sizes(value):
-    """``8-16`` (inclusive range) or ``8,12,16`` -> tuple of ints."""
-    value = value.strip()
-    if "-" in value and "," not in value:
-        lo, hi = value.split("-", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    sizes = tuple(int(token) for token in value.split(",") if token.strip())
-    if not sizes:
-        raise ConfigError("--sizes needs at least one eviction-set size")
-    return sizes
 
 
 def _machines_flag(parser, default_help="the three scaled Table-I machines"):
@@ -328,10 +318,11 @@ def _sweep_cli_configure(parser):
     parser.add_argument(
         "--sizes",
         metavar="SPEC",
+        type=size_list,
         default=None,
         help="eviction-set sizes, '8-16' or '8,12,16' (default: per experiment)",
     )
-    parser.add_argument("--trials", type=int, default=60)
+    parser.add_argument("--trials", type=positive_int, default=60)
 
 
 def _sweep_cli_options(args):
@@ -339,7 +330,7 @@ def _sweep_cli_options(args):
     if args.machines:
         options["config_fns"] = _parse_machines(args.machines)
     if args.sizes:
-        options["sizes"] = _parse_sizes(args.sizes)
+        options["sizes"] = args.sizes
     return options
 
 
@@ -504,7 +495,7 @@ def _table2_run(task, options):
 
 def _table2_cli_configure(parser):
     _machines_flag(parser)
-    parser.add_argument("--slots", type=int, default=384)
+    parser.add_argument("--slots", type=positive_int, default=384)
 
 
 def _table2_cli_options(args):
@@ -587,7 +578,7 @@ def _section_4c_data(config_fn, targets, superpages):
 
 def _sec4c_cli_configure(parser):
     _machine_flag(parser, default="t420-scaled")
-    parser.add_argument("--targets", type=int, default=16)
+    parser.add_argument("--targets", type=positive_int, default=16)
 
 
 SEC4C_SPEC = register_experiment(
@@ -706,8 +697,8 @@ def _section_4d_data(config_fn, sample, spray_slots):
 
 def _sec4d_cli_configure(parser):
     _machine_flag(parser, default="t420-scaled")
-    parser.add_argument("--sample", type=int, default=32)
-    parser.add_argument("--slots", type=int, default=512)
+    parser.add_argument("--sample", type=positive_int, default=32)
+    parser.add_argument("--slots", type=positive_int, default=512)
 
 
 SEC4D_SPEC = register_experiment(
@@ -787,10 +778,11 @@ def _figure5_cli_configure(parser):
     parser.add_argument(
         "--paddings",
         metavar="LIST",
+        type=padding_list,
         default=None,
         help="comma-separated NOP paddings in cycles (default: the paper's)",
     )
-    parser.add_argument("--buffer-pages", type=int, default=256)
+    parser.add_argument("--buffer-pages", type=positive_int, default=256)
 
 
 def _figure5_cli_options(args):
@@ -799,9 +791,7 @@ def _figure5_cli_options(args):
         "buffer_pages": args.buffer_pages,
     }
     if args.paddings:
-        options["paddings"] = tuple(
-            int(token) for token in args.paddings.split(",") if token.strip()
-        )
+        options["paddings"] = args.paddings
     return options
 
 
@@ -917,8 +907,8 @@ def _figure6_run(task, options):
 def _figure6_cli_configure(parser):
     _machine_flag(parser, default="t420-scaled")
     parser.add_argument("--regular-pages", action="store_true")
-    parser.add_argument("--rounds", type=int, default=50)
-    parser.add_argument("--slots", type=int, default=512)
+    parser.add_argument("--rounds", type=positive_int, default=50)
+    parser.add_argument("--slots", type=positive_int, default=512)
 
 
 FIGURE6_SPEC = register_experiment(
@@ -1070,11 +1060,14 @@ def _escalation_cli_configure(parser):
     _machine_flag(parser, default="tiny")
     parser.add_argument("--defense", choices=sorted(DEFENSE_PRESETS), default="none")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--slots", type=int, default=None, help="spray slots")
-    parser.add_argument("--pairs", type=int, default=None, help="pairs to hammer")
+    parser.add_argument("--slots", type=positive_int, default=None, help="spray slots")
+    parser.add_argument(
+        "--pairs", type=positive_int, default=None, help="pairs to hammer"
+    )
     parser.add_argument(
         "--pattern",
         metavar="NAME",
+        choices=pattern_names(),
         default=None,
         help="hammer with a registered pattern (see `repro patterns list`)",
     )
@@ -1098,11 +1091,7 @@ def _escalation_cli_options(args):
         if args.pairs is not None:
             attack_config.pair_sample = args.pairs
             attack_config.max_pairs = args.pairs
-        if args.pattern is not None:
-            from repro.patterns import get as _get_pattern
-
-            _get_pattern(args.pattern)  # unknown names fail before any task
-            attack_config.pattern = args.pattern
+        attack_config.pattern = args.pattern
     return {
         "config_fn": config_fn,
         "policy": DEFENSE_PRESETS[args.defense](),
@@ -1351,16 +1340,24 @@ def _patternfuzz_cli_configure(parser):
         "--fuzz-seed", type=int, default=7, help="randomizer seed (default: 7)"
     )
     parser.add_argument(
-        "--count", type=int, default=8, help="patterns to sample (default: 8)"
+        "--count", type=positive_int, default=8, help="patterns to sample (default: 8)"
     )
     parser.add_argument("--seed", type=int, default=None, help="machine seed")
-    parser.add_argument("--slots", type=int, default=256, help="spray slots")
-    parser.add_argument("--pairs", type=int, default=12, help="pairs to hammer")
+    parser.add_argument("--slots", type=positive_int, default=256, help="spray slots")
     parser.add_argument(
-        "--max-roles", type=int, default=4, help="aggressor-set bound (default: 4)"
+        "--pairs", type=positive_int, default=12, help="pairs to hammer"
     )
     parser.add_argument(
-        "--max-ops", type=int, default=16, help="unrolled-length bound (default: 16)"
+        "--max-roles",
+        type=positive_int,
+        default=4,
+        help="aggressor-set bound (default: 4)",
+    )
+    parser.add_argument(
+        "--max-ops",
+        type=positive_int,
+        default=16,
+        help="unrolled-length bound (default: 16)",
     )
 
 

@@ -39,22 +39,34 @@ Examples::
 """
 
 import argparse
+import contextlib
 import sys
 import time
 
+from repro.analysis import profile_trace, write_chrome_trace, write_trace_jsonl
 from repro.analysis.engine import experiment_names, get_experiment, run_experiment
 from repro.analysis.telemetry import ProgressReporter
+from repro.chaos import CHAOS_PROFILES, ChaosInjector, chaos_profile
 from repro.core.pthammer import PThammerAttack, PThammerConfig
 from repro.defenses import DEFENSE_PRESETS
-from repro.errors import CampaignError, ConfigError, OutOfMemory, SnapshotError
+from repro.errors import CampaignError, ConfigError, OutOfMemory, ReproError
 from repro.machine import AttackerView, Inspector, Machine
 from repro.machine.configs import MACHINE_PRESETS, tiny_test_config
+from repro.observe import parse_budget_spec, parse_rate_spec
 from repro.observe.ledger import (
     ATTACK_RUN,
     RunLedger,
     RunRecord,
     config_fingerprint,
     diff_records,
+)
+from repro.patterns import names as pattern_names
+from repro.utils.cliargs import (
+    non_negative_float,
+    non_negative_int,
+    positive_float,
+    positive_int,
+    regex,
 )
 
 #: Preset vocabularies (canonical homes: repro.machine.configs and
@@ -77,7 +89,7 @@ def _engine_args(parser):
     group = parser.add_argument_group("engine")
     group.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         help="worker processes for independent tasks (default: 1)",
     )
@@ -94,7 +106,7 @@ def _engine_args(parser):
     )
     group.add_argument(
         "--task-timeout",
-        type=float,
+        type=positive_float,
         metavar="SECONDS",
         default=None,
         help="per-task host-time limit; hung workers are detected and killed",
@@ -102,7 +114,7 @@ def _engine_args(parser):
     group.add_argument(
         "--retries",
         "--task-retries",
-        type=int,
+        type=non_negative_int,
         default=2,
         help="in-place retries of retryable task faults (default: 2)",
     )
@@ -148,24 +160,20 @@ def _cmd_experiment(args):
     if not args.no_progress:
         reporter = ProgressReporter(stream=sys.stderr, quiet=args.quiet)
     session = None if args.no_telemetry else TelemetrySession()
-    try:
-        options = spec.cli_options(args) if spec.cli_options else {}
-        run = run_experiment(
-            spec,
-            options,
-            jobs=args.jobs,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            progress=reporter,
-            ledger=None if args.no_record else RunLedger(),
-            task_timeout=args.task_timeout,
-            retries=args.retries,
-            warm_start=args.warm_start,
-            telemetry=session,
-        )
-    except ConfigError as exc:
-        print("repro: %s" % exc, file=sys.stderr)
-        return 2
+    options = spec.cli_options(args) if spec.cli_options else {}
+    run = run_experiment(
+        spec,
+        options,
+        jobs=args.jobs,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        progress=reporter,
+        ledger=None if args.no_record else RunLedger(),
+        task_timeout=args.task_timeout,
+        retries=args.retries,
+        warm_start=args.warm_start,
+        telemetry=session,
+    )
     print(run.result.render())
     if not args.quiet:
         if reporter is None:  # reporter.end() already printed the summary
@@ -205,7 +213,7 @@ def _dash_args(parser):
     )
     parser.add_argument(
         "--interval",
-        type=float,
+        type=positive_float,
         default=1.0,
         help="seconds between dashboard refreshes (default: 1.0)",
     )
@@ -227,18 +235,12 @@ def _cmd_dash(args):
 
     spool = args.spool or discover_spool(args.root)
     if spool is None:
-        print(
-            "repro: no telemetry spool under %s — run an experiment first "
+        raise ConfigError(
+            "no telemetry spool under %s — run an experiment first "
             "(telemetry is on by default) or pass --spool"
-            % (args.root or default_spool_root()),
-            file=sys.stderr,
+            % (args.root or default_spool_root())
         )
-        return 2
-    try:
-        aggregator = TelemetryAggregator(spool)
-    except ConfigError as exc:
-        print("repro: %s" % exc, file=sys.stderr)
-        return 2
+    aggregator = TelemetryAggregator(spool)
     dashboard = Dashboard(
         aggregator, stream=sys.stdout, ansi=False if args.once else None
     )
@@ -250,95 +252,68 @@ def _cmd_dash(args):
 
 
 def _cmd_attack(args):
-    pattern_name = getattr(args, "pattern", None)
-    if pattern_name is not None:
-        from repro.patterns import get as get_pattern
-
-        try:
-            get_pattern(pattern_name)  # unknown names fail before any work
-        except ConfigError as exc:
-            print("repro: %s" % exc, file=sys.stderr)
-            return 2
     config = MACHINES[args.machine]()
     if args.seed is not None:
         config.seed = args.seed
-    policy = DEFENSES[args.defense]()
-    machine = Machine(config, policy=policy)
-    chaos_name = getattr(args, "chaos", None)
-    if chaos_name:
-        from repro.chaos import ChaosInjector, chaos_profile
-
-        machine.attach_chaos(ChaosInjector(chaos_profile(chaos_name)))
-    attacker = AttackerView(machine, machine.boot_process())
-    attack_config = PThammerConfig(
-        superpages=not args.regular_pages,
-        spray_slots=args.slots,
-        pair_sample=args.pairs,
-        max_pairs=args.pairs,
-        cred_spray_processes=args.cred_spray,
-        pattern=pattern_name,
-    )
-    profiling = getattr(args, "profile", False)
-    trace_path = getattr(args, "trace", None)
-    trace_file = _open_trace_destination(trace_path)
-    if profiling or trace_path:
-        machine.trace.enable()
-    print(
-        "PThammer vs %s (defense: %s%s%s); attacker uid=%d"
-        % (
-            config.name,
-            args.defense,
-            ", chaos: %s" % chaos_name if chaos_name else "",
-            ", pattern: %s" % pattern_name if pattern_name else "",
-            attacker.getuid(),
+    with _open_output(args.trace) as trace_file:
+        machine = Machine(config, policy=DEFENSES[args.defense]())
+        if args.chaos:
+            machine.attach_chaos(ChaosInjector(chaos_profile(args.chaos)))
+        attacker = AttackerView(machine, machine.boot_process())
+        attack_config = PThammerConfig(
+            superpages=not args.regular_pages,
+            spray_slots=args.slots,
+            pair_sample=args.pairs,
+            max_pairs=args.pairs,
+            cred_spray_processes=args.cred_spray,
+            pattern=args.pattern,
         )
-    )
-    started = time.time()
-    attack = PThammerAttack(attacker, attack_config)
-    try:
-        report = attack.run()
-    except OutOfMemory as exc:
-        return _out_of_memory(exc, trace_file)
-    print(report.summary())
-    if report.outcome:
-        for note in report.outcome.details:
-            print("  - %s" % note)
-    if chaos_name:
-        resilience_counters = {
-            name: value
-            for name, value in sorted(machine.metrics.counters().items())
-            if name.startswith(("chaos.", "recovery."))
-        }
+        if args.profile or args.trace:
+            machine.trace.enable()
         print(
-            "chaos/recovery: %s"
+            "PThammer vs %s (defense: %s%s%s); attacker uid=%d"
             % (
-                ", ".join(
-                    "%s=%d" % item for item in resilience_counters.items()
-                )
-                or "none"
+                config.name,
+                args.defense,
+                ", chaos: %s" % args.chaos if args.chaos else "",
+                ", pattern: %s" % args.pattern if args.pattern else "",
+                attacker.getuid(),
             )
         )
-    print(
-        "uid after attack: %d | ground-truth flips: %d | host %.1fs"
-        % (attacker.getuid(), Inspector(machine).flip_count(), time.time() - started)
-    )
-    if profiling:
-        from repro.analysis import profile_trace
-
-        print()
+        started = time.time()
+        attack = PThammerAttack(attacker, attack_config)
+        report = attack.run()
+        print(report.summary())
+        if report.outcome:
+            for note in report.outcome.details:
+                print("  - %s" % note)
+        if args.chaos:
+            resilience = ", ".join(
+                "%s=%d" % item
+                for item in sorted(machine.metrics.counters().items())
+                if item[0].startswith(("chaos.", "recovery."))
+            )
+            print("chaos/recovery: %s" % (resilience or "none"))
         print(
-            profile_trace(
-                machine.trace, machine=config.name, freq_ghz=config.cpu.freq_ghz
-            ).render()
+            "uid after attack: %d | ground-truth flips: %d | host %.1fs"
+            % (
+                attacker.getuid(),
+                Inspector(machine).flip_count(),
+                time.time() - started,
+            )
         )
-    if trace_file is not None:
-        from repro.analysis import write_trace_jsonl
-
-        with trace_file:
+        if args.profile:
+            print()
+            print(
+                profile_trace(
+                    machine.trace, machine=config.name, freq_ghz=config.cpu.freq_ghz
+                ).render()
+            )
+        if trace_file is not None:
             lines = write_trace_jsonl(machine.trace, trace_file, machine=config.name)
-        print("wrote %d trace lines to %s" % (lines, trace_path))
+            print("wrote %d trace lines to %s" % (lines, args.trace))
     code = 0 if report.escalated == (args.defense not in ("zebram",)) else 1
-    if not getattr(args, "no_record", False):
+    if not args.no_record:
         record = RunRecord.new(
             ATTACK_RUN,
             "attack",
@@ -348,8 +323,8 @@ def _cmd_attack(args):
             % (
                 args.machine,
                 args.defense,
-                " --chaos %s" % chaos_name if chaos_name else "",
-                " --pattern %s" % pattern_name if pattern_name else "",
+                " --chaos %s" % args.chaos if args.chaos else "",
+                " --pattern %s" % args.pattern if args.pattern else "",
             ),
             timings={
                 "host_seconds": round(time.time() - started, 6),
@@ -365,7 +340,7 @@ def _cmd_attack(args):
                 "flips": Inspector(machine).flip_count(),
                 "uid_after": attacker.getuid(),
                 "exit_code": code,
-                "chaos": chaos_name,
+                "chaos": args.chaos,
                 "checkpoint": attack.checkpoint(),
                 "degradations": list(report.degradations),
             },
@@ -375,31 +350,9 @@ def _cmd_attack(args):
     return code
 
 
-def _out_of_memory(exc, out_file):
-    """Exit 2 with one line when an attack exhausts the simulated memory
-    (an over-sized spray: each slot costs the kernel a page table)."""
-    if out_file is not None:
-        out_file.close()
-    print(
-        "repro: the attack ran out of simulated memory (%s); try fewer --slots"
-        % exc,
-        file=sys.stderr,
-    )
-    return 2
-
-
-def _open_trace_destination(path):
-    """Open a JSONL destination up-front, before the attack runs.
-
-    A bad path should fail in milliseconds, not after a multi-minute
-    attack has already completed.
-    """
-    if path is None:
-        return None
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise SystemExit("repro: cannot write trace file %s: %s" % (path, exc))
+def _open_output(path):
+    """Open a trace file before the attack, so a bad path fails at once."""
+    return open(path, "w") if path else contextlib.nullcontext()
 
 
 def build_parser():
@@ -418,10 +371,12 @@ def build_parser():
     attack = commands.add_parser("attack", help="run the end-to-end attack")
     _machine_arg(attack)
     attack.add_argument("--defense", choices=sorted(DEFENSES), default="none")
-    attack.add_argument("--slots", type=int, default=256, help="spray slots")
-    attack.add_argument("--pairs", type=int, default=12, help="pairs to hammer")
+    attack.add_argument("--slots", type=positive_int, default=256, help="spray slots")
+    attack.add_argument(
+        "--pairs", type=positive_int, default=12, help="pairs to hammer"
+    )
     attack.add_argument("--seed", type=int, default=None)
-    attack.add_argument("--cred-spray", type=int, default=0)
+    attack.add_argument("--cred-spray", type=non_negative_int, default=0)
     attack.add_argument(
         "--regular-pages",
         action="store_true",
@@ -441,6 +396,7 @@ def build_parser():
     attack.add_argument(
         "--chaos",
         metavar="PROFILE",
+        choices=sorted(CHAOS_PROFILES),
         default=None,
         help="inject system noise from a chaos profile "
         "(see `repro chaos list`); enables the self-healing pipeline",
@@ -448,6 +404,7 @@ def build_parser():
     attack.add_argument(
         "--pattern",
         metavar="NAME",
+        choices=pattern_names(),
         default=None,
         help="hammer with a registered pattern (see `repro patterns list`) "
         "instead of the hard-coded double-sided loop",
@@ -487,8 +444,12 @@ def build_parser():
     )
     _machine_arg(trace_cmd)
     trace_cmd.add_argument("--defense", choices=sorted(DEFENSES), default="none")
-    trace_cmd.add_argument("--slots", type=int, default=256, help="spray slots")
-    trace_cmd.add_argument("--pairs", type=int, default=12, help="pairs to hammer")
+    trace_cmd.add_argument(
+        "--slots", type=positive_int, default=256, help="spray slots"
+    )
+    trace_cmd.add_argument(
+        "--pairs", type=positive_int, default=12, help="pairs to hammer"
+    )
     trace_cmd.add_argument("--seed", type=int, default=None)
     trace_cmd.add_argument(
         "--out", metavar="FILE", default=None, help="JSONL trace destination"
@@ -503,6 +464,7 @@ def build_parser():
     trace_cmd.add_argument(
         "--sample",
         metavar="SPEC",
+        type=parse_rate_spec,
         default=None,
         help="sample the event stream: a rate ('0.01') or per-category "
         "rates ('dram=0.1,tlb=0.5,*=0.01'); keeps traced runs cheap",
@@ -510,6 +472,7 @@ def build_parser():
     trace_cmd.add_argument(
         "--sample-budget",
         metavar="SPEC",
+        type=parse_budget_spec,
         default=None,
         help="hard event budgets: a cap ('200000') or per-category caps "
         "('dram=50000,*=200000')",
@@ -567,7 +530,9 @@ def build_parser():
     runs_list.add_argument("--kind", default=None, help="filter by record kind")
     runs_list.add_argument("--name", default=None, help="filter by run name")
     runs_list.add_argument("--label", default=None, help="filter by baseline label")
-    runs_list.add_argument("--limit", type=int, default=20, help="newest N (default 20)")
+    runs_list.add_argument(
+        "--limit", type=non_negative_int, default=20, help="newest N (default 20)"
+    )
     runs_list.add_argument(
         "--all",
         action="store_true",
@@ -580,13 +545,13 @@ def build_parser():
     )
     _dash_args(runs_watch)
     runs_diff = runs_commands.add_parser(
-        "diff", help="per-metric comparison of two runs; exit 1 on regression"
+        "diff", help="per-metric comparison of two runs; exit 3 on regression"
     )
     runs_diff.add_argument("before", help="baseline run id")
     runs_diff.add_argument("after", help="candidate run id")
     runs_diff.add_argument(
         "--tolerance",
-        type=float,
+        type=non_negative_float,
         default=0.1,
         help="allowed fractional drift before a metric regresses (default 0.1)",
     )
@@ -619,13 +584,14 @@ def build_parser():
     )
     bench.add_argument(
         "--tolerance",
-        type=float,
+        type=non_negative_float,
         default=None,
         help="allowed fractional drift before a metric regresses (default 0.25)",
     )
     bench.add_argument(
         "--gate",
         metavar="REGEX",
+        type=regex,
         default=None,
         help="with --compare, only gate metrics whose name matches REGEX "
         "(e.g. deterministic virtual-cycle metrics in CI)",
@@ -642,13 +608,13 @@ def build_parser():
     def _campaign_run_args(sub):
         sub.add_argument(
             "--jobs",
-            type=int,
+            type=positive_int,
             default=None,
             help="override the spec's worker count for this run",
         )
         sub.add_argument(
             "--pause-after",
-            type=int,
+            type=non_negative_int,
             metavar="N",
             default=None,
             help="checkpoint-and-pause once N shards are done (deterministic "
@@ -704,43 +670,39 @@ def build_parser():
 
 
 def main(argv=None):
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns the exit code (README.md, "Exit codes").
 
-    if args.command == "attack":
-        return _cmd_attack(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "patterns":
-        return _cmd_patterns(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command in set(experiment_names()):
-        return _cmd_experiment(args)
-    if args.command == "mitigations":
-        return _cmd_mitigations()
-    if args.command == "validate":
-        return _cmd_validate()
-    if args.command == "snapshot":
-        return _cmd_snapshot(args)
-    if args.command == "dash":
-        return _cmd_dash(args)
-    if args.command == "runs":
-        if args.runs_command == "watch":
-            return _cmd_dash(args)
-        return _cmd_runs(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    return 0
+    The CLI's one error boundary: a ``ReproError`` or ``OSError`` from a
+    command ends it with one ``repro: <message>`` line and exit 2, as
+    argparse already ends a malformed value.  Anything else is a bug and
+    keeps its traceback.
+    """
+    args = build_parser().parse_args(argv)
+    commands = {
+        "attack": _cmd_attack,
+        "bench": _cmd_bench,
+        "campaign": _cmd_campaign,
+        "chaos": _cmd_chaos,
+        "dash": _cmd_dash,
+        "mitigations": _cmd_mitigations,
+        "patterns": _cmd_patterns,
+        "runs": _cmd_runs,
+        "snapshot": _cmd_snapshot,
+        "trace": _cmd_trace,
+        "validate": _cmd_validate,
+    }
+    try:  # any other command is a registered experiment
+        return commands.get(args.command, _cmd_experiment)(args)
+    except (ReproError, OSError) as exc:
+        # Each spray slot costs the kernel a page table.
+        oom = "the attack ran out of simulated memory (%s); try fewer --slots"
+        print("repro: %s" % (oom % exc if isinstance(exc, OutOfMemory) else exc),
+              file=sys.stderr)
+        return 2
 
 
 def _cmd_chaos(args):
     """``repro chaos list|show`` — inspect the noise profiles."""
-    from repro.chaos import CHAOS_PROFILES, chaos_profile
-
     if args.chaos_command == "list":
         for name in sorted(CHAOS_PROFILES):
             profile = chaos_profile(name)
@@ -749,11 +711,7 @@ def _cmd_chaos(args):
                 % (name, profile.seed, len(profile.sources))
             )
         return 0
-    try:
-        print(chaos_profile(args.profile).describe())
-    except ConfigError as exc:
-        print("repro: %s" % exc, file=sys.stderr)
-        return 2
+    print(chaos_profile(args.profile).describe())
     return 0
 
 
@@ -770,11 +728,7 @@ def _cmd_patterns(args):
                 % (name, len(pattern.roles), len(ops))
             )
         return 0
-    try:
-        pattern = patterns.get(args.name)
-    except ConfigError as exc:
-        print("repro: %s" % exc, file=sys.stderr)
-        return 2
+    pattern = patterns.get(args.name)
     print(pattern.unparse(), end="")
     ops = patterns.unroll(pattern)
     print("# unrolled: %d op(s)" % len(ops))
@@ -787,67 +741,61 @@ def _cmd_snapshot(args):
     """``repro snapshot save|info|load`` — machine snapshot files."""
     from repro.machine import MachineSnapshot
 
-    try:
-        if args.snapshot_command == "save":
-            config = MACHINES[args.machine]()
-            if args.seed is not None:
-                config.seed = args.seed
-            machine = Machine(config)
-            process = machine.boot_process()
-            meta = {"boot_pid": process.pid}
-            if args.prepare:
-                from repro.core.pthammer import PThammerReport
+    if args.snapshot_command == "save":
+        config = MACHINES[args.machine]()
+        if args.seed is not None:
+            config.seed = args.seed
+        machine = Machine(config)
+        process = machine.boot_process()
+        meta = {"boot_pid": process.pid}
+        if args.prepare:
+            from repro.core.pthammer import PThammerReport
 
-                attack = PThammerAttack(
-                    AttackerView(machine, process),
-                    PThammerConfig(spray_slots=256, pair_sample=12, max_pairs=12),
-                )
-                attack.prepare(
-                    PThammerReport(machine_name=config.name, superpages=True)
-                )
-                meta["prepared"] = True
-            snap = machine.snapshot(meta=meta)
-            snap.save(args.file)
-            print(
-                "saved %s snapshot %s (%d cycles) to %s"
-                % (config.name, snap.fingerprint(), machine.cycles, args.file)
+            attack = PThammerAttack(
+                AttackerView(machine, process),
+                PThammerConfig(spray_slots=256, pair_sample=12, max_pairs=12),
             )
-            return 0
-        snap = MachineSnapshot.load(args.file)
-        if args.snapshot_command == "info":
-            info = snap.info()
-            for key in (
-                "version",
-                "machine",
-                "fingerprint",
-                "config_fingerprint",
-                "fast_path",
-                "cycles",
-                "processes",
-                "resident_frames",
-                "chaos",
-            ):
-                print("%-18s %s" % (key, info[key]))
-            for key in sorted(info["meta"]):
-                print("meta.%-13s %s" % (key, info["meta"][key]))
-            return 0
-        # load: the full validation path — rebuild the config from the
-        # snapshot, boot a fresh machine, and restore into it.
-        machine = Machine(snap.config(), fast_path=snap.fast_path)
-        machine.restore(snap)
+            attack.prepare(PThammerReport(machine_name=config.name, superpages=True))
+            meta["prepared"] = True
+        snap = machine.snapshot(meta=meta)
+        snap.save(args.file)
         print(
-            "restored %s snapshot %s: %d cycles, %d process(es)"
-            % (
-                snap.machine_name,
-                snap.fingerprint(),
-                machine.cycles,
-                len(machine.kernel.processes),
-            )
+            "saved %s snapshot %s (%d cycles) to %s"
+            % (config.name, snap.fingerprint(), machine.cycles, args.file)
         )
         return 0
-    except (SnapshotError, OSError, ValueError) as exc:
-        print("repro: %s" % exc, file=sys.stderr)
-        return 2
+    snap = MachineSnapshot.load(args.file)
+    if args.snapshot_command == "info":
+        info = snap.info()
+        for key in (
+            "version",
+            "machine",
+            "fingerprint",
+            "config_fingerprint",
+            "fast_path",
+            "cycles",
+            "processes",
+            "resident_frames",
+            "chaos",
+        ):
+            print("%-18s %s" % (key, info[key]))
+        for key in sorted(info["meta"]):
+            print("meta.%-13s %s" % (key, info["meta"][key]))
+        return 0
+    # load: the full validation path — rebuild the config from the
+    # snapshot, boot a fresh machine, and restore into it.
+    machine = Machine(snap.config(), fast_path=snap.fast_path)
+    machine.restore(snap)
+    print(
+        "restored %s snapshot %s: %d cycles, %d process(es)"
+        % (
+            snap.machine_name,
+            snap.fingerprint(),
+            machine.cycles,
+            len(machine.kernel.processes),
+        )
+    )
+    return 0
 
 
 def _warn_skipped_record(run_id, error):
@@ -856,73 +804,71 @@ def _warn_skipped_record(run_id, error):
 
 
 def _cmd_runs(args):
-    """``repro runs list|show|diff`` — inspect the run ledger."""
+    """``repro runs list|show|diff|watch`` — inspect the run ledger."""
     from repro.observe import MetricsRegistry
 
+    if args.runs_command == "watch":
+        return _cmd_dash(args)
     ledger = RunLedger()
-    try:
-        if args.runs_command == "list":
-            limit = None if args.all else max(args.limit, 0)
-            records = ledger.list(
-                kind=args.kind,
-                name=args.name,
-                label=args.label,
-                limit=limit,
-                on_skip=_warn_skipped_record,
-            )
-            if not records:
-                print("no runs recorded in %s" % ledger.root)
-                return 0
+    if args.runs_command == "list":
+        limit = None if args.all else args.limit
+        records = ledger.list(
+            kind=args.kind,
+            name=args.name,
+            label=args.label,
+            limit=limit,
+            on_skip=_warn_skipped_record,
+        )
+        if not records:
+            print("no runs recorded in %s" % ledger.root)
+            return 0
+        print(
+            "%-22s %-10s %-14s %-12s %-20s %8s %s"
+            % ("run id", "kind", "name", "machine",
+               "recorded (UTC)", "host", "label")
+        )
+        for record in records:
+            print(record.summary_line())
+        return 0
+    if args.runs_command == "show":
+        record = ledger.load(args.run_id)
+        print("run      %s" % record.run_id)
+        print("kind     %s  name %s" % (record.kind, record.name))
+        print("recorded %s" % record.created_utc)
+        for field_name in ("label", "git_rev", "machine", "config_fingerprint", "command"):
+            value = getattr(record, field_name)
+            if value:
+                print("%-8s %s" % (field_name.replace("_", " "), value))
+        for key in sorted(record.timings):
+            print("timing   %-24s %s" % (key, record.timings[key]))
+        for phase in record.phases:
             print(
-                "%-22s %-10s %-14s %-12s %-20s %8s %s"
-                % ("run id", "kind", "name", "machine",
-                   "recorded (UTC)", "host", "label")
+                "phase    %-24s %12d cycles" % (phase["name"], phase["cycles"])
             )
-            for record in records:
-                print(record.summary_line())
-            return 0
-        if args.runs_command == "show":
-            record = ledger.load(args.run_id)
-            print("run      %s" % record.run_id)
-            print("kind     %s  name %s" % (record.kind, record.name))
-            print("recorded %s" % record.created_utc)
-            for field_name in ("label", "git_rev", "machine", "config_fingerprint", "command"):
-                value = getattr(record, field_name)
-                if value:
-                    print("%-8s %s" % (field_name.replace("_", " "), value))
-            for key in sorted(record.timings):
-                print("timing   %-24s %s" % (key, record.timings[key]))
-            for phase in record.phases:
-                print(
-                    "phase    %-24s %12d cycles" % (phase["name"], phase["cycles"])
-                )
-            for key in sorted(record.outcome):
-                print("outcome  %-24s %s" % (key, record.outcome[key]))
-            if record.metrics:
-                registry = MetricsRegistry()
-                registry.merge_snapshot(record.metrics)
-                print("metrics:")
-                for line in registry.render().splitlines():
-                    print("  " + line)
-            telemetry = (record.extra or {}).get("telemetry")
-            if telemetry:
-                from repro.analysis.telemetry import render_timeline
+        for key in sorted(record.outcome):
+            print("outcome  %-24s %s" % (key, record.outcome[key]))
+        if record.metrics:
+            registry = MetricsRegistry()
+            registry.merge_snapshot(record.metrics)
+            print("metrics:")
+            for line in registry.render().splitlines():
+                print("  " + line)
+        telemetry = (record.extra or {}).get("telemetry")
+        if telemetry:
+            from repro.analysis.telemetry import render_timeline
 
-                print("timeline:")
-                for line in render_timeline(telemetry).splitlines():
-                    print("  " + line)
-            return 0
-        if args.runs_command == "diff":
-            diff = diff_records(
-                ledger.load(args.before),
-                ledger.load(args.after),
-                tolerance=args.tolerance,
-            )
-            print(diff.render())
-            return 1 if diff.regressions() else 0
-    except ConfigError as exc:
-        print("repro: %s" % exc, file=sys.stderr)
-        return 2
+            print("timeline:")
+            for line in render_timeline(telemetry).splitlines():
+                print("  " + line)
+        return 0
+    if args.runs_command == "diff":
+        diff = diff_records(
+            ledger.load(args.before),
+            ledger.load(args.after),
+            tolerance=args.tolerance,
+        )
+        print(diff.render())
+        return 3 if diff.regressions() else 0
     return 0
 
 
@@ -955,81 +901,77 @@ def _cmd_campaign(args):
 
     from repro.campaign import Campaign, CampaignSpec, campaigns_root
 
-    try:
-        if args.campaign_command == "submit":
-            spec = CampaignSpec.from_file(args.spec)
-            campaign = Campaign.create(spec, campaign_id=args.campaign_id)
-            print("campaign %s created (%d shard(s), fingerprint %s)"
-                  % (campaign.id, len(spec.compile_plan().shards),
-                     spec.fingerprint()))
-            if args.no_run:
-                return 0
-            return _run_campaign_supervisor(campaign, args)
-        if args.campaign_command == "resume":
-            campaign = Campaign.open(args.campaign_id)
-            return _run_campaign_supervisor(campaign, args)
-        if args.campaign_command == "status":
-            status = Campaign.open(args.campaign_id).status()
-            print("campaign %s: %s" % (status["id"], status["state"]))
-            print("  shards   %d/%d done, %d quarantined, %d failed attempt(s)"
-                  % (status["shards_done"], status["shards_total"],
-                     status["shards_quarantined"], status["failed_attempts"]))
-            print("  cells    %d/%d done"
-                  % (status["cells_done"], status["cells_total"]))
-            print("  jobs     %d" % status["jobs"])
-            supervisor_note = "none"
-            if status["supervisor_pid"]:
-                supervisor_note = "pid %d (%s)" % (
-                    status["supervisor_pid"],
-                    "alive" if status["supervisor_alive"] else "gone",
-                )
-            print("  supervisor %s | journal events %d"
-                  % (supervisor_note, status["events"]))
+    if args.campaign_command == "submit":
+        spec = CampaignSpec.from_file(args.spec)
+        campaign = Campaign.create(spec, campaign_id=args.campaign_id)
+        print("campaign %s created (%d shard(s), fingerprint %s)"
+              % (campaign.id, len(spec.compile_plan().shards),
+                 spec.fingerprint()))
+        if args.no_run:
             return 0
-        if args.campaign_command == "list":
-            ids = Campaign.list()
-            if not ids:
-                print("no campaigns under %s" % campaigns_root())
-                return 0
-            for campaign_id in ids:
-                status = Campaign.open(campaign_id).status()
-                print("%-24s %-10s %d/%d done, %d quarantined"
-                      % (campaign_id, status["state"], status["shards_done"],
-                         status["shards_total"], status["shards_quarantined"]))
+        return _run_campaign_supervisor(campaign, args)
+    if args.campaign_command == "resume":
+        campaign = Campaign.open(args.campaign_id)
+        return _run_campaign_supervisor(campaign, args)
+    if args.campaign_command == "status":
+        status = Campaign.open(args.campaign_id).status()
+        print("campaign %s: %s" % (status["id"], status["state"]))
+        print("  shards   %d/%d done, %d quarantined, %d failed attempt(s)"
+              % (status["shards_done"], status["shards_total"],
+                 status["shards_quarantined"], status["failed_attempts"]))
+        print("  cells    %d/%d done"
+              % (status["cells_done"], status["cells_total"]))
+        print("  jobs     %d" % status["jobs"])
+        supervisor_note = "none"
+        if status["supervisor_pid"]:
+            supervisor_note = "pid %d (%s)" % (
+                status["supervisor_pid"],
+                "alive" if status["supervisor_alive"] else "gone",
+            )
+        print("  supervisor %s | journal events %d"
+              % (supervisor_note, status["events"]))
+        return 0
+    if args.campaign_command == "list":
+        ids = Campaign.list()
+        if not ids:
+            print("no campaigns under %s" % campaigns_root())
             return 0
-        if args.campaign_command in ("pause", "cancel"):
-            campaign = Campaign.open(args.campaign_id)
-            verdict = campaign.request(args.campaign_command)
-            print("campaign %s: %s %s"
-                  % (campaign.id, args.campaign_command, verdict))
-            return 0
-        if args.campaign_command == "report":
-            import json as _json
+        for campaign_id in ids:
+            status = Campaign.open(campaign_id).status()
+            print("%-24s %-10s %d/%d done, %d quarantined"
+                  % (campaign_id, status["state"], status["shards_done"],
+                     status["shards_total"], status["shards_quarantined"]))
+        return 0
+    if args.campaign_command in ("pause", "cancel"):
+        campaign = Campaign.open(args.campaign_id)
+        verdict = campaign.request(args.campaign_command)
+        print("campaign %s: %s %s"
+              % (campaign.id, args.campaign_command, verdict))
+        return 0
+    if args.campaign_command == "report":
+        import json as _json
 
-            campaign = Campaign.open(args.campaign_id)
-            if not os.path.exists(campaign.results_path):
-                status = campaign.status()
-                print("repro: campaign %s has no results yet (state: %s)"
-                      % (campaign.id, status["state"]), file=sys.stderr)
-                return 2
-            with open(campaign.results_path, "r", encoding="utf-8") as handle:
-                document = _json.load(handle)
-            totals = document["totals"]
-            print("campaign %s: %s (fingerprint %s)"
-                  % (campaign.id, document["state"], document["fingerprint"]))
-            print("  %d shard(s): %d done, %d quarantined, %d flip(s)"
-                  % (totals["shards"], totals["done"],
-                     totals["quarantined"], totals["flips"]))
-            for cell in document["cells"]:
-                print("  %-40s %d done, %d quarantined"
-                      % (cell["key"], cell["done"], cell["quarantined"]))
-            if document["state"] == "degraded":
-                print("quarantine report: %s"
-                      % campaign.quarantine_path, file=sys.stderr)
-            return 0
-    except (CampaignError, ConfigError) as exc:
-        print("repro: %s" % exc, file=sys.stderr)
-        return 2
+        campaign = Campaign.open(args.campaign_id)
+        if not os.path.exists(campaign.results_path):
+            raise CampaignError(
+                "campaign %s has no results yet (state: %s)"
+                % (campaign.id, campaign.status()["state"])
+            )
+        with open(campaign.results_path, "r", encoding="utf-8") as handle:
+            document = _json.load(handle)
+        totals = document["totals"]
+        print("campaign %s: %s (fingerprint %s)"
+              % (campaign.id, document["state"], document["fingerprint"]))
+        print("  %d shard(s): %d done, %d quarantined, %d flip(s)"
+              % (totals["shards"], totals["done"],
+                 totals["quarantined"], totals["flips"]))
+        for cell in document["cells"]:
+            print("  %-40s %d done, %d quarantined"
+                  % (cell["key"], cell["done"], cell["quarantined"]))
+        if document["state"] == "degraded":
+            print("quarantine report: %s"
+                  % campaign.quarantine_path, file=sys.stderr)
+        return 0
     return 0
 
 
@@ -1043,122 +985,102 @@ def _cmd_bench(args):
         run_bench,
     )
 
-    try:
-        if args.list:
-            for name in bench_names():
-                print("%-18s %s" % (name, get_bench(name).title))
-            return 0
-        names = list(args.only) if args.only else bench_names()
-        for name in names:
-            get_bench(name)  # unknown names fail before any work runs
-        ledger = RunLedger()
-        results = []
-        for name in names:
-            print("bench %s ..." % name, file=sys.stderr)
-            result = run_bench(name)
-            results.append(result)
-            print(result.summary_line())
-        if args.record:
-            for result in results:
-                record = result.to_record(label=args.baseline)
-                ledger.record(record)
-                print(
-                    "recorded %s as %s%s"
-                    % (
-                        result.name,
-                        record.run_id,
-                        " (baseline %s)" % args.baseline if args.baseline else "",
-                    ),
-                    file=sys.stderr,
-                )
-        if args.compare is not None:
-            tolerance = (
-                args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
+    if args.list:
+        for name in bench_names():
+            print("%-18s %s" % (name, get_bench(name).title))
+        return 0
+    names = list(args.only) if args.only else bench_names()
+    for name in names:
+        get_bench(name)  # unknown names fail before any work runs
+    ledger = RunLedger()
+    results = []
+    for name in names:
+        print("bench %s ..." % name, file=sys.stderr)
+        result = run_bench(name)
+        results.append(result)
+        print(result.summary_line())
+    if args.record:
+        for result in results:
+            record = result.to_record(label=args.baseline)
+            ledger.record(record)
+            print(
+                "recorded %s as %s%s"
+                % (
+                    result.name,
+                    record.run_id,
+                    " (baseline %s)" % args.baseline if args.baseline else "",
+                ),
+                file=sys.stderr,
             )
-            comparison = compare_to_baseline(
-                ledger, args.compare, results, tolerance=tolerance, gate=args.gate
+    if args.compare is not None:
+        tolerance = (
+            args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
+        )
+        comparison = compare_to_baseline(
+            ledger, args.compare, results, tolerance=tolerance, gate=args.gate
+        )
+        # Human-readable diff table on stderr; stdout carries only
+        # the stable tab-separated rows a pipeline can parse.
+        print(comparison.render(), file=sys.stderr)
+        for line in comparison.machine_lines():
+            print(line)
+        if not comparison.diffs:
+            # Comparing against nothing would otherwise "pass": make
+            # a wholly absent baseline loud (CI typo, unseeded ledger).
+            raise ConfigError(
+                "baseline %r has no record for any selected "
+                "benchmark in %s — run `repro bench --record --baseline "
+                "%s` first" % (args.compare, ledger.root, args.compare)
             )
-            # Human-readable diff table on stderr; stdout carries only
-            # the stable tab-separated rows a pipeline can parse.
-            print(comparison.render(), file=sys.stderr)
-            for line in comparison.machine_lines():
-                print(line)
-            if not comparison.diffs:
-                # Comparing against nothing would otherwise "pass": make
-                # a wholly absent baseline loud (CI typo, unseeded ledger).
-                print(
-                    "repro: baseline %r has no record for any selected "
-                    "benchmark in %s — run `repro bench --record --baseline "
-                    "%s` first" % (args.compare, ledger.root, args.compare),
-                    file=sys.stderr,
-                )
-                return 2
-            if comparison.regressions():
-                return 3
-    except ConfigError as exc:
-        print("repro: %s" % exc, file=sys.stderr)
-        return 2
+        if comparison.regressions():
+            return 3
     return 0
 
 
 def _cmd_trace(args):
     """Run one traced attack; print the profile, optionally export JSONL."""
-    from repro.analysis import profile_trace, write_chrome_trace, write_trace_jsonl
-    from repro.observe import parse_budget_spec, parse_rate_spec
-
     config = MACHINES[args.machine]()
     if args.seed is not None:
         config.seed = args.seed
-    out_file = _open_trace_destination(args.out)
-    machine = Machine(config, policy=DEFENSES[args.defense]())
-    attacker = AttackerView(machine, machine.boot_process())
-    machine.trace.enable()
-    if args.sample or args.sample_budget:
-        try:
-            rates = parse_rate_spec(args.sample) if args.sample else None
-            budgets = (
-                parse_budget_spec(args.sample_budget) if args.sample_budget else None
-            )
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        machine.trace.set_sampling(rates=rates, budgets=budgets)
-    print("tracing PThammer vs %s (defense: %s) ..." % (config.name, args.defense))
-    attack = PThammerAttack(
-        attacker,
-        PThammerConfig(
-            spray_slots=args.slots, pair_sample=args.pairs, max_pairs=args.pairs
-        ),
-    )
-    try:
-        report = attack.run()
-    except OutOfMemory as exc:
-        return _out_of_memory(exc, out_file)
-    print(report.summary())
-    print()
-    print(
-        profile_trace(
-            machine.trace, machine=config.name, freq_ghz=config.cpu.freq_ghz
-        ).render()
-    )
-    counts = machine.trace.counts_by_kind()
-    print()
-    print("events by kind:")
-    for kind in sorted(counts):
-        print("  %-16s %10d" % (kind, counts[kind]))
-    if machine.trace.dropped:
-        print("  (%d events dropped beyond the buffer limit)" % machine.trace.dropped)
-    if machine.trace.sampler is not None:
-        stats = machine.trace.sampler.stats()
-        print(
-            "sampling: kept %d of %d event(s) (%d sampled out, %d over budget)"
-            % (stats["kept"], stats["seen"], stats["sampled_out"],
-               stats["budget_dropped"])
+    with _open_output(args.out) as out_file:
+        machine = Machine(config, policy=DEFENSES[args.defense]())
+        attacker = AttackerView(machine, machine.boot_process())
+        machine.trace.enable()
+        machine.trace.set_sampling(rates=args.sample, budgets=args.sample_budget)
+        print("tracing PThammer vs %s (defense: %s) ..." % (config.name, args.defense))
+        attack = PThammerAttack(
+            attacker,
+            PThammerConfig(
+                spray_slots=args.slots, pair_sample=args.pairs, max_pairs=args.pairs
+            ),
         )
-    if out_file is not None:
-        with out_file:
+        report = attack.run()
+        print(report.summary())
+        print()
+        print(
+            profile_trace(
+                machine.trace, machine=config.name, freq_ghz=config.cpu.freq_ghz
+            ).render()
+        )
+        counts = machine.trace.counts_by_kind()
+        print()
+        print("events by kind:")
+        for kind in sorted(counts):
+            print("  %-16s %10d" % (kind, counts[kind]))
+        if machine.trace.dropped:
+            print(
+                "  (%d events dropped beyond the buffer limit)" % machine.trace.dropped
+            )
+        if machine.trace.sampler is not None:
+            stats = machine.trace.sampler.stats()
+            print(
+                "sampling: kept %d of %d event(s) (%d sampled out, %d over budget)"
+                % (stats["kept"], stats["seen"], stats["sampled_out"],
+                   stats["budget_dropped"])
+            )
+        if out_file is not None:
             lines = write_trace_jsonl(machine.trace, out_file, machine=config.name)
-        print("wrote %d trace lines to %s" % (lines, args.out))
+            print("wrote %d trace lines to %s" % (lines, args.out))
     if args.export_chrome:
         events = write_chrome_trace(
             machine.trace,
@@ -1170,7 +1092,7 @@ def _cmd_trace(args):
     return 0
 
 
-def _cmd_validate():
+def _cmd_validate(args):
     """Fast end-to-end self-check of the reproduction's key shapes."""
     from repro.core.tlb_eviction import TLBEvictionSetBuilder, tlb_miss_rate_by_size
     from repro.core.llc_offline import llc_miss_rate_by_size
@@ -1223,7 +1145,7 @@ def _cmd_validate():
     return 1 if failures else 0
 
 
-def _cmd_mitigations():
+def _cmd_mitigations(args):
     """The Section-V mitigation matrix (ANVIL/TRR)."""
     from repro.core import RowhammerTestTool, UarchFacts
     from repro.defenses import AnvilDetector

@@ -231,7 +231,8 @@ class MachineSnapshot:
     @classmethod
     def load(cls, path):
         """Read a snapshot written by :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
+        # Undecoded bytes: a file that is not UTF-8 fails in from_json too.
+        with open(path, "rb") as handle:
             return cls.from_json(handle.read())
 
     # -- introspection ----------------------------------------------------

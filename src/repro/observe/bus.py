@@ -24,6 +24,7 @@ from itertools import repeat
 from operator import length_hint
 
 from repro.observe.events import SPAN_BEGIN, SPAN_END, ATTACK, Event, Span
+from repro.utils.cliargs import fraction, non_negative_int
 
 #: The skip run of a kind with nothing left to drop.
 _NO_SKIPS = repeat(None, 0)
@@ -157,13 +158,13 @@ class TraceSampler:
 
 
 def parse_rate_spec(text):
-    """``"0.01"`` or ``"dram=0.1,tlb=0.5,*=0.01"`` -> a rates dict."""
-    return _parse_spec(text, float, "sample rate")
+    """``"0.01"`` or ``"dram=0.1,tlb=0.5,*=0.01"`` -> rates, each in [0, 1]."""
+    return _parse_spec(text, fraction, "sample rate")
 
 
 def parse_budget_spec(text):
-    """``"100000"`` or ``"dram=50000,*=200000"`` -> a budgets dict."""
-    return _parse_spec(text, int, "event budget")
+    """``"100000"`` or ``"dram=50000,*=200000"`` -> budgets, each >= 0."""
+    return _parse_spec(text, non_negative_int, "event budget")
 
 
 def _parse_spec(text, convert, what):

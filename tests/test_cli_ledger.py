@@ -291,7 +291,7 @@ def test_runs_diff_flags_regression_and_exits_nonzero(capsys):
     payload["timings"]["host_seconds"] = 9.0
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
-    assert main(["runs", "diff", before, after]) == 1
+    assert main(["runs", "diff", before, after]) == 3
     out = capsys.readouterr().out
     assert "REGRESSED" in out and "time.host_seconds" in out
 

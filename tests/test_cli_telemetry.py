@@ -181,6 +181,7 @@ def test_trace_sample_and_chrome_export(tmp_path, capsys):
 
 
 def test_trace_rejects_bad_sample_spec(capsys):
-    code = main(["trace", "--machine", "tiny", "--sample", "dram=fast"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exit_info:  # an argparse usage error
+        main(["trace", "--machine", "tiny", "--sample", "dram=fast"])
+    assert exit_info.value.code == 2
     assert "error" in capsys.readouterr().err

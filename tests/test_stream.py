@@ -104,6 +104,16 @@ def test_parse_rate_and_budget_specs():
         parse_rate_spec("")
     with pytest.raises(ValueError):
         parse_rate_spec("dram=0.1,oops")
+    assert parse_rate_spec("*=0,dram=1") == {"*": 0.0, "dram": 1.0}
+    assert parse_budget_spec("0") == {"*": 0}
+    # NaN, rates outside [0, 1] and negative budgets are rejected, and
+    # the error names the offending token.
+    for spec in ("nan", "2.0", "-0.5", "dram=0.1,tlb=nan", "*=1.5"):
+        with pytest.raises(ValueError, match="nan|2.0|-0.5|1.5"):
+            parse_rate_spec(spec)
+    for spec in ("-5", "dram=50,*=-1"):
+        with pytest.raises(ValueError, match="-5|-1"):
+            parse_budget_spec(spec)
 
 
 def test_bus_emit_honours_sampling_inline_path():
