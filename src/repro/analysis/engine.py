@@ -13,12 +13,9 @@ seed-derivation scheme, and the checkpoint schema):
 
 Design points:
 
-* **ExperimentSpec** — the unified description of one experiment:
-  a name, a task-list builder, a per-task run function returning plain
-  JSON-serialisable data, and a reduce function folding the per-task
-  data (in task order) into the experiment's result object.  Specs are
-  registered by name (:func:`register_experiment`); the CLI and the
-  benchmark harness dispatch through the registry.
+* **ExperimentSpec** — one experiment's tasks, run function and reduce
+  function, registered by name (:func:`register_experiment`); the CLI
+  and the benchmark harness dispatch through the registry.
 * **Determinism** — tasks carry deterministically derived seeds
   (:func:`derive_seed`), run on freshly booted machines, and share no
   state, so ``jobs=N`` produces bit-identical aggregated results for
@@ -27,18 +24,16 @@ Design points:
   runs cannot diverge on representation (e.g. int vs str dict keys).
 * **Checkpoints** — with ``checkpoint=PATH`` every finished task is
   streamed to a JSONL file as it completes; ``resume=True`` skips the
-  tasks already on disk.  A truncated final line (a killed run) is
-  ignored on load, so resuming after a crash is always safe.
-* **Metrics** — machines booted inside a task register their
-  :class:`~repro.observe.MetricsRegistry` with the engine (via
-  ``ExperimentContext``); each task returns a merged snapshot and the
-  run outcome aggregates all of them into one run-level registry.
+  tasks already on disk, and a torn final line (a killed run) is
+  ignored, so resuming after a crash is always safe.
+* **Metrics** — machines booted inside a task report their metrics
+  (:func:`observe_machine`); the run aggregates every task's snapshot.
 
-Workers are forked (POSIX), so spec options may contain arbitrary
-callables (machine-config factories, placement policies); only task
-payloads and per-task results must be picklable/JSON-serialisable.
-Where ``fork`` is unavailable the engine silently degrades to serial
-execution — results are identical either way.
+With ``jobs > 1`` tasks run on a :class:`~repro.utils.pool.WorkerPool`
+of forked workers that persist across tasks, so spec options may hold
+any callable; only task payloads and results must be picklable and
+JSON-serialisable.  Without ``fork`` the engine runs serially, with
+identical results.
 """
 
 import hashlib
@@ -48,13 +43,15 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import repro.analysis.warmstart as warmstart
 import repro.observe.stream as stream
-from repro.errors import ConfigError, TaskTimeout
+from repro.errors import ConfigError, TaskTimeout, WorkerDied
 from repro.observe import CycleHistogram, MetricsRegistry
-from repro.utils.rng import hash_to_unit
+from repro.utils.pool import DONE, RAISED, WorkerPool, backoff_delay, exit_reason
+from repro.utils.serialize import read_json_lines
 
 #: Bump when the checkpoint line format changes incompatibly.
 CHECKPOINT_VERSION = 1
@@ -241,8 +238,8 @@ def _alarm_scope(timeout):
     """Arm a SIGALRM-based timeout; returns a restore callable.
 
     A no-op (returns ``None``) where SIGALRM is unavailable (non-POSIX)
-    or off the main thread — the pool's hung-worker watchdog is the
-    backstop there.
+    or off the main thread — in pooled runs the watchdog of
+    :func:`_run_pooled` is the backstop there.
     """
     if timeout is None or not hasattr(signal, "SIGALRM"):
         return None
@@ -264,17 +261,6 @@ def _alarm_scope(timeout):
     return restore
 
 
-def _retry_sleep(task, attempt, backoff):
-    """Jittered exponential backoff before an in-place task retry.
-
-    The *duration* is derived deterministically from the task seed and
-    attempt number, so two runs of the same experiment back off
-    identically (sleep is wall time only; it cannot perturb results).
-    """
-    jitter = 0.5 + hash_to_unit(task.seed or 0, "engine-retry", attempt)
-    time.sleep(backoff * (2.0 ** attempt) * jitter)
-
-
 def _execute_task(
     spec, options, task, capture_errors=False, retries=0, retry_backoff=0.05,
     task_timeout=None,
@@ -283,9 +269,11 @@ def _execute_task(
 
     Exceptions whose ``retryable`` attribute is true (e.g.
     :class:`~repro.errors.TransientFault` from a chaos profile) are
-    retried in place up to ``retries`` times under jittered exponential
-    backoff; other exceptions — and a retryable one that exhausts its
-    retries — propagate (or are captured when ``capture_errors``).
+    retried in place up to ``retries`` times, sleeping
+    :func:`~repro.utils.pool.backoff_delay` between attempts (jitter
+    from the task seed, so two runs back off alike); other exceptions
+    — and a retryable one that exhausts its retries — propagate (or
+    are captured when ``capture_errors``).
     ``task_timeout`` bounds each *attempt* in host seconds via SIGALRM
     where available; a timed-out attempt raises
     :class:`~repro.errors.TaskTimeout` (not retryable).
@@ -300,6 +288,7 @@ def _execute_task(
     registries = []
     machines = []
     spent = 0
+    error = None
     emitter = stream.current_emitter()
     group = task.payload.get("machine") if isinstance(task.payload, dict) else None
     if emitter is not None:
@@ -317,27 +306,14 @@ def _execute_task(
             except Exception as exc:
                 if getattr(exc, "retryable", False) and spent < retries:
                     spent += 1
-                    _retry_sleep(task, spent, retry_backoff)
+                    time.sleep(backoff_delay(retry_backoff, task.seed or 0, spent))
                     continue
                 if not capture_errors:
                     raise
-                if emitter is not None:
-                    emitter.task_done(
-                        task.key,
-                        seconds=time.time() - started,
-                        group=group,
-                        ok=False,
-                    )
-                return TaskOutcome(
-                    key=task.key,
-                    seed=task.seed,
-                    data=None,
-                    metrics=None,
-                    host_seconds=time.time() - started,
-                    error="%s: %s" % (type(exc).__name__, exc),
-                    worker=os.getpid(),
-                    retries=spent,
-                )
+                data, error = None, "%s: %s" % (type(exc).__name__, exc)
+                del registries[:]  # a failed task reports no metrics
+                del machines[:]
+                break
             finally:
                 if restore is not None:
                     restore()
@@ -353,6 +329,7 @@ def _execute_task(
             cycles=cycles,
             latency=latency,
             group=group,
+            ok=error is None,
         )
     try:
         data = json.loads(json.dumps(data))
@@ -373,25 +350,67 @@ def _execute_task(
         data=data,
         metrics=metrics,
         host_seconds=time.time() - started,
+        error=error,
         worker=os.getpid(),
         retries=spent,
     )
 
 
-#: (spec, options, capture_errors, retries, retry_backoff, task_timeout)
-#: inherited by forked pool workers; options may hold closures, which
-#: fork shares for free where pickling could not.
-_WORKER_STATE = None
+def _run_pooled(handler, pending, jobs, record, keep_going, watchdog, name):
+    """Fan ``pending`` out over a :class:`WorkerPool`; ``record`` each outcome.
 
-
-def _pool_entry(task):
-    spec, options, capture_errors, retries, retry_backoff, task_timeout = (
-        _WORKER_STATE
-    )
-    return _execute_task(
-        spec, options, task, capture_errors,
-        retries=retries, retry_backoff=retry_backoff, task_timeout=task_timeout,
-    )
+    ``handler`` runs one task in a worker.  A worker death fails its
+    task at once: captured as the task's error under ``keep_going``,
+    raised as :class:`~repro.errors.WorkerDied` otherwise.  With a
+    ``watchdog``, a task still running that many host seconds after it
+    started has its worker killed, and that death is handled like any
+    other.
+    """
+    queue = pending[::-1]
+    running = {}  # key -> (task, worker pid, start time)
+    hung = set()  # keys whose worker the watchdog killed
+    with WorkerPool(handler, jobs) as pool:
+        while queue or running:
+            while queue and len(running) < jobs:
+                task = queue.pop()
+                running[task.key] = (task, pool.submit(task.key, task), time.time())
+            timeout = None
+            if watchdog is not None:
+                now = time.time()
+                for key, (_, _, start) in running.items():
+                    if key not in hung and now - start >= watchdog:
+                        pool.kill(key)
+                        hung.add(key)
+                due = [start + watchdog - now
+                       for key, (_, _, start) in running.items() if key not in hung]
+                timeout = max(0.0, min(due)) if due else None
+            for key, kind, value in pool.wait(timeout):
+                task, pid, started = running.pop(key)
+                if kind == DONE:
+                    record(value)
+                    continue
+                if kind == RAISED:
+                    raise value
+                error = WorkerDied(
+                    "experiment %r task %r: worker %d %s" % (
+                        name, key, pid,
+                        "hung past the %.0fs watchdog and was killed" % watchdog
+                        if key in hung else exit_reason(value),
+                    )
+                )
+                if not keep_going:
+                    raise error
+                record(
+                    TaskOutcome(
+                        key=key,
+                        seed=task.seed,
+                        data=None,
+                        metrics=None,
+                        host_seconds=time.time() - started,
+                        error="WorkerDied: %s" % error,
+                        worker=pid,
+                    )
+                )
 
 
 # ----------------------------------------------------------------------
@@ -410,39 +429,21 @@ def _fingerprint(spec_name, tasks):
 def load_checkpoint(path):
     """Read a checkpoint: ``(header, {key: record})``.
 
-    Tolerates a corrupt or truncated *final* line — the signature of a
-    killed run, whose next write never finished — by ignoring it.  A
-    corrupt line with valid lines after it cannot be a torn trailing
-    write: it means the file was edited or damaged, and silently
-    skipping it would make ``--resume`` recompute (or worse, mis-merge)
-    work that looked safely recorded.  That case raises a
-    :class:`ConfigError` naming the file and line number, as does an
-    unusable header.
+    A torn final line (a killed run) is ignored; a corrupt line with
+    intact lines after it means the file was damaged, and skipping it
+    would make ``--resume`` recompute or mis-merge work that looked
+    recorded (:func:`~repro.utils.serialize.read_json_lines`).  That
+    case raises a :class:`ConfigError` naming the file and line, as does
+    an unusable header.
     """
     header = None
     records = {}
-    # Bytes, so a line that is not UTF-8 is one more undecodable line.
-    with open(path, "rb") as handle:
-        lines = handle.read().splitlines()
-    content_numbers = [
-        number for number, line in enumerate(lines, 1) if line.strip()
-    ]
-    last_content = content_numbers[-1] if content_numbers else 0
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            if number == last_content:
-                continue  # torn trailing write from an interrupted run
-            raise ConfigError(
-                "checkpoint %s line %d is corrupt (not valid JSON) but is "
-                "followed by intact lines; the file was damaged after "
-                "writing — restore it or rerun without --resume"
-                % (path, number)
-            )
+    damaged = lambda number: ConfigError(
+        "checkpoint %s line %d is corrupt (not valid JSON) but is "
+        "followed by intact lines; the file was damaged after "
+        "writing — restore it or rerun without --resume" % (path, number)
+    )
+    for _, entry in read_json_lines(path, damaged):
         if entry.get("kind") == "header":
             header = entry
         elif entry.get("kind") == "task" and "key" in entry and "data" in entry:
@@ -463,32 +464,9 @@ class _CheckpointWriter:
     def __init__(self, path, append):
         self._handle = open(path, "a" if append else "w", encoding="utf-8")
 
-    def write_header(self, spec_name, tasks):
-        self._write(
-            {
-                "kind": "header",
-                "version": CHECKPOINT_VERSION,
-                "experiment": spec_name,
-                "tasks": len(tasks),
-                "fingerprint": _fingerprint(spec_name, tasks),
-            }
-        )
-
-    def write_task(self, outcome):
-        self._write(
-            {
-                "kind": "task",
-                "key": outcome.key,
-                "seed": outcome.seed,
-                "host_seconds": round(outcome.host_seconds, 6),
-                "data": outcome.data,
-                "metrics": outcome.metrics,
-                "retries": outcome.retries,
-            }
-        )
-
-    def _write(self, entry):
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    def write(self, kind, **fields):
+        fields["kind"] = kind
+        self._handle.write(json.dumps(fields, sort_keys=True) + "\n")
         self._handle.flush()
 
     def close(self):
@@ -604,10 +582,6 @@ class RunOutcome:
         )
 
 
-def _fork_available():
-    return hasattr(os, "fork") and "fork" in multiprocessing.get_all_start_methods()
-
-
 def run_experiment(
     spec,
     options=None,
@@ -659,11 +633,11 @@ def run_experiment(
     exponential backoff starting at ``retry_backoff`` host seconds —
     these fire on every run, not only under ``--resume``, and land in
     ``TaskOutcome.retries``.  ``task_timeout`` bounds each attempt in
-    host seconds (SIGALRM where available); in pooled runs the parent
-    additionally watches for hung workers — a worker silent for the
-    whole timeout-plus-retries envelope gets the pool terminated, the
-    unfinished tasks marked failed (``keep_going``) or a
-    :class:`~repro.errors.TaskTimeout` raised.
+    host seconds (SIGALRM where available).  In pooled runs a worker
+    that dies fails its task at once, and a task that outlives the
+    whole timeout-plus-retries envelope has its worker killed: either
+    death is the task's :class:`~repro.errors.WorkerDied` error under
+    ``keep_going``, and is raised otherwise.
 
     ``warm_start=True`` boots each distinct machine config once in the
     parent, snapshots the post-setup state
@@ -672,16 +646,12 @@ def run_experiment(
     a cold run at any ``jobs``; the snapshot fingerprints land in
     ``RunOutcome.warm_start`` and the ledger record.
 
-    ``telemetry`` enables the streaming-telemetry pipeline
-    (:mod:`repro.observe.stream`, docs/TELEMETRY.md): ``True`` (or a
-    spool-root path, or a prebuilt
-    :class:`~repro.observe.stream.TelemetrySession`) makes every
-    worker stream heartbeats and per-task metric deltas — flips,
-    cycles, hammer-round latency sketches — to a per-worker spool
-    file; the parent aggregates them live (``repro dash`` can attach)
-    and the rolling time-series lands in ``RunOutcome.telemetry`` and
-    the ledger record's ``extra``.  Telemetry writes only to spool
-    files, so rendered results stay byte-identical either way.
+    ``telemetry`` (``True``, a spool-root path, or a
+    :class:`~repro.observe.stream.TelemetrySession`) makes every worker
+    stream heartbeats and per-task deltas to a per-worker spool file
+    (docs/TELEMETRY.md); the parent aggregates them live, and the
+    rolling time-series lands in ``RunOutcome.telemetry`` and the ledger
+    record's ``extra``.  Rendered results stay byte-identical either way.
     """
     if isinstance(spec, str):
         spec = get_experiment(spec)
@@ -718,10 +688,16 @@ def run_experiment(
     if checkpoint:
         writer = _CheckpointWriter(checkpoint, append=bool(done))
         if not done:
-            writer.write_header(spec.name, tasks)
+            writer.write(
+                "header",
+                version=CHECKPOINT_VERSION,
+                experiment=spec.name,
+                tasks=len(tasks),
+                fingerprint=_fingerprint(spec.name, tasks),
+            )
 
     effective_jobs = max(1, min(jobs, len(pending))) if pending else 1
-    if effective_jobs > 1 and not _fork_available():
+    if "fork" not in multiprocessing.get_all_start_methods():
         effective_jobs = 1
     outcomes_by_key = dict(done)
     finished = len(done)
@@ -742,8 +718,8 @@ def run_experiment(
         else:
             session = stream.TelemetrySession(str(telemetry))
         # Must begin before any fork: pool workers inherit the armed
-        # emitter configuration copy-on-write, exactly like
-        # ``_WORKER_STATE`` and the warm-start snapshot cache.
+        # emitter configuration copy-on-write, exactly like the task
+        # handler and the warm-start snapshot cache.
         session.begin(spec.name, total=total, jobs=effective_jobs)
 
     def _record(outcome):
@@ -755,7 +731,15 @@ def run_experiment(
         elif writer is not None:
             # Failed tasks stay out of the checkpoint so --resume
             # retries exactly them.
-            writer.write_task(outcome)
+            writer.write(
+                "task",
+                key=outcome.key,
+                seed=outcome.seed,
+                host_seconds=round(outcome.host_seconds, 6),
+                data=outcome.data,
+                metrics=outcome.metrics,
+                retries=outcome.retries,
+            )
         if progress is not None:
             progress(finished, total, outcome)
         if session is not None:
@@ -768,70 +752,27 @@ def run_experiment(
         warm_primed = warmstart.prime_from_options(options)
         warmstart.activate()
 
-    global _WORKER_STATE
+    handler = partial(
+        _execute_task, spec, options,
+        capture_errors=keep_going,
+        retries=retries,
+        retry_backoff=retry_backoff,
+        task_timeout=task_timeout,
+    )
+    # A task running for a full attempt envelope (every attempt plus
+    # every backoff, with slack) is stuck: its SIGALRM should have fired.
+    watchdog = None if task_timeout is None else (
+        task_timeout * (retries + 1) + retry_backoff * 2 ** (retries + 1) + 30.0
+    )
     try:
         if effective_jobs > 1:
-            context = multiprocessing.get_context("fork")
-            _WORKER_STATE = (
-                spec, options, keep_going, retries, retry_backoff, task_timeout
+            _run_pooled(
+                handler, pending, effective_jobs, _record, keep_going,
+                watchdog, spec.name,
             )
-            # A worker is "hung" once it has been silent longer than a
-            # full attempt envelope (every attempt plus every backoff)
-            # with slack; the in-worker SIGALRM should fire well before
-            # this, so tripping it means the worker is truly stuck.
-            watchdog = None
-            if task_timeout is not None:
-                watchdog = (
-                    task_timeout * (retries + 1)
-                    + retry_backoff * (2 ** (retries + 1))
-                    + 30.0
-                )
-            try:
-                with context.Pool(processes=effective_jobs) as pool:
-                    iterator = pool.imap_unordered(_pool_entry, pending)
-                    try:
-                        while True:
-                            try:
-                                outcome = iterator.next(watchdog)
-                            except StopIteration:
-                                break
-                            _record(outcome)
-                    except multiprocessing.TimeoutError:
-                        pool.terminate()
-                        hung = [
-                            task for task in pending
-                            if task.key not in outcomes_by_key
-                        ]
-                        if not keep_going:
-                            raise TaskTimeout(
-                                "worker silent for %.0fs; %d task(s) "
-                                "unfinished (first: %r)"
-                                % (watchdog, len(hung), hung[0].key)
-                            )
-                        for task in hung:
-                            _record(
-                                TaskOutcome(
-                                    key=task.key,
-                                    seed=task.seed,
-                                    data=None,
-                                    metrics=None,
-                                    host_seconds=watchdog,
-                                    error="TaskTimeout: worker hung "
-                                    "(silent for %.0fs)" % watchdog,
-                                )
-                            )
-            finally:
-                _WORKER_STATE = None
         else:
             for task in pending:
-                _record(
-                    _execute_task(
-                        spec, options, task, keep_going,
-                        retries=retries,
-                        retry_backoff=retry_backoff,
-                        task_timeout=task_timeout,
-                    )
-                )
+                _record(handler(task))
     finally:
         if warm_start:
             warmstart.deactivate()

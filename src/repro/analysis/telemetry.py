@@ -55,9 +55,9 @@ class ProgressReporter:
         self.resumed = 0
         self.failures = 0
         self.started = None
-        #: worker pid -> key of the last task that pid completed; with
-        #: ``imap_unordered`` fan-out this is the closest observable
-        #: proxy for "what each worker is chewing on".
+        #: worker pid -> key of the last task that pid completed.  The
+        #: engine reports finished tasks only, so this is the closest
+        #: observable proxy for "what each worker is chewing on".
         self.workers = {}
         self._line_width = 0
 

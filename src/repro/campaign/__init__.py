@@ -4,10 +4,10 @@ The campaign layer is the control plane for long-running studies: a
 :class:`~repro.campaign.spec.CampaignSpec` describes a matrix of
 machine presets × defenses × chaos profiles × patterns, sharded by
 seed; a :class:`~repro.campaign.supervisor.Supervisor` drives the
-compiled plan through forked workers with retry, quarantine, liveness
-supervision, and graceful degradation; and every decision is journaled
-to an append-only WAL so ``repro campaign resume`` after any crash —
-including ``kill -9`` — completes with byte-identical results.
+compiled plan through persistent pool workers with retry, quarantine,
+liveness supervision, and graceful degradation; and every decision is
+journaled to an append-only WAL so ``repro campaign resume`` after any
+crash — including ``kill -9`` — completes with byte-identical results.
 
 Modules:
 
@@ -17,7 +17,8 @@ Modules:
   machine, and the replay/fold readers;
 * :mod:`~repro.campaign.scheduler` — retry backoff and quarantine
   bookkeeping, rebuildable from a journal fold;
-* :mod:`~repro.campaign.worker` — the per-shard worker process;
+* :mod:`~repro.campaign.worker` — one shard attempt, run in a pool
+  worker;
 * :mod:`~repro.campaign.supervisor` — the durable store and the run
   loop;
 * :mod:`~repro.campaign.faultinject` — the deterministic crash/fault
@@ -40,7 +41,7 @@ from repro.campaign.journal import (
     fold,
     replay,
 )
-from repro.campaign.scheduler import Scheduler, backoff_delay
+from repro.campaign.scheduler import Scheduler
 from repro.campaign.spec import (
     CampaignPlan,
     CampaignSpec,
@@ -49,6 +50,7 @@ from repro.campaign.spec import (
     SupervisorConfig,
 )
 from repro.campaign.supervisor import Campaign, Supervisor, campaigns_root
+from repro.utils.pool import backoff_delay
 
 __all__ = [
     "CANCELLED",

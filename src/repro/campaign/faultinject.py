@@ -78,16 +78,6 @@ class FaultRule:
             raise ConfigError("fault rule attempts must be >= 1 or null")
         return self
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "match": self.match,
-            "attempts": self.attempts,
-            "point": self.point,
-            "probability": self.probability,
-            "hang_seconds": self.hang_seconds,
-        }
-
 
 @dataclass
 class FaultPlan:
@@ -115,12 +105,6 @@ class FaultPlan:
             except TypeError as exc:
                 raise ConfigError("fault rule is malformed: %s" % exc)
         return cls(rules=rules, seed=payload.get("seed"))
-
-    def to_dict(self):
-        payload = {"rules": [rule.to_dict() for rule in self.rules]}
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return payload
 
     # -- decisions --------------------------------------------------------
 

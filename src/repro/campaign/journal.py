@@ -12,18 +12,17 @@ byte-identical to an uninterrupted run.
 
 Single-writer discipline: only the supervisor process appends (workers
 persist their results to per-shard files the supervisor folds in), so
-lines never interleave.  A crash can still tear the *final* line —
-:func:`replay` tolerates exactly that, mirroring the experiment
-engine's checkpoint semantics: a damaged line followed by intact lines
-means the file was edited or corrupted after writing, and raises
-:class:`~repro.errors.CampaignError` instead of silently dropping
-acknowledged state.
+lines never interleave.  A crash can still tear the *final* line, which
+:func:`replay` skips through the reader the experiment engine's
+checkpoints share (:func:`~repro.utils.serialize.read_json_lines`);
+damage before intact lines raises :class:`~repro.errors.CampaignError`.
 """
 
 import json
 import os
 
 from repro.errors import CampaignError
+from repro.utils.serialize import read_json_lines
 
 #: Bump when the journal line format changes incompatibly.
 JOURNAL_VERSION = 1
@@ -86,32 +85,19 @@ class CampaignJournal:
 def replay(path):
     """Read a journal back as a list of entries.
 
-    Tolerates a torn *final* line — the signature of a killed
-    supervisor (or an injected tail truncation) whose last write never
-    finished.  Damage anywhere earlier raises: acknowledged state must
-    never be silently dropped.
+    Skips a torn *final* line (a killed supervisor, or an injected tail
+    truncation); damage anywhere earlier raises, because acknowledged
+    state must never be silently dropped.
     """
     if not os.path.exists(path):
         raise CampaignError("no campaign journal at %s" % path)
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    content_numbers = [n for n, line in enumerate(lines, 1) if line.strip()]
-    last_content = content_numbers[-1] if content_numbers else 0
+    damaged = lambda number: CampaignError(
+        "campaign journal %s line %d is corrupt but followed by "
+        "intact lines; the file was damaged after writing — "
+        "restore it from backup" % (path, number)
+    )
     entries = []
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            if number == last_content:
-                continue  # torn trailing write from a killed supervisor
-            raise CampaignError(
-                "campaign journal %s line %d is corrupt but followed by "
-                "intact lines; the file was damaged after writing — "
-                "restore it from backup" % (path, number)
-            )
+    for number, entry in read_json_lines(path, damaged):
         if not isinstance(entry, dict):
             raise CampaignError(
                 "campaign journal %s line %d is not an object" % (path, number)

@@ -8,15 +8,14 @@ unit-tested without a supervisor.  Each shard walks::
                    \\-> failed (awaiting retry, after a backoff)
                    \\-> quarantined (retry budget exhausted)
 
-Backoff is exponential with deterministic jitter: attempt ``n`` waits
-``backoff * 2**(n-1) * (0.5 + hash_to_unit(seed, "campaign-backoff",
-n))`` host seconds, so herds of failures spread out but test runs can
-predict the schedule exactly.  Backoff is host time — it shapes *when*
-work reruns, never *what* it computes — so it is excluded from the
-determinism contract on results.
+Backoff is :func:`~repro.utils.pool.backoff_delay`: exponential with
+jitter seeded per shard, so herds of failures spread out but test runs
+can predict the schedule exactly.  Backoff is host time — it shapes
+*when* work reruns, never *what* it computes — so it is excluded from
+the determinism contract on results.
 """
 
-from repro.utils.rng import hash_to_unit
+from repro.utils.pool import backoff_delay
 
 PENDING = "pending"
 RUNNING = "running"
@@ -25,23 +24,16 @@ FAILED = "failed"
 QUARANTINED = "quarantined"
 
 
-def backoff_delay(base, seed, attempt):
-    """Host-seconds to wait before retry number ``attempt`` (1-based)."""
-    jitter = 0.5 + hash_to_unit(seed, "campaign-backoff", attempt)
-    return base * (2 ** (attempt - 1)) * jitter
-
-
 class ShardState:
     """One shard's scheduling bookkeeping (not its results)."""
 
-    __slots__ = ("shard", "status", "attempts", "not_before", "last_error")
+    __slots__ = ("shard", "status", "attempts", "not_before")
 
     def __init__(self, shard):
         self.shard = shard
         self.status = PENDING
         self.attempts = 0  # attempts started so far
         self.not_before = 0.0  # host time gate for the next launch
-        self.last_error = None
 
 
 class Scheduler:
@@ -100,10 +92,9 @@ class Scheduler:
     def mark_done(self, key):
         self.states[key].status = DONE
 
-    def mark_failed(self, key, now, error=None):
+    def mark_failed(self, key, now):
         """Record a failed attempt; returns the new status."""
         state = self.states[key]
-        state.last_error = error
         if state.attempts >= self.max_attempts:
             state.status = QUARANTINED
         else:
@@ -127,9 +118,6 @@ class Scheduler:
 
     # -- queries ----------------------------------------------------------
 
-    def running(self):
-        return [s for s in self.states.values() if s.status == RUNNING]
-
     def quarantined(self):
         return [
             self.states[shard.key]
@@ -137,17 +125,11 @@ class Scheduler:
             if self.states[shard.key].status == QUARANTINED
         ]
 
-    def unfinished(self):
-        """Shards not yet settled (neither done nor quarantined)."""
-        return [
-            s
-            for s in self.states.values()
-            if s.status not in (DONE, QUARANTINED)
-        ]
-
     def settled(self):
-        """True when every shard reached a verdict."""
-        return not self.unfinished()
+        """True when every shard reached a verdict (done or quarantined)."""
+        return all(
+            s.status in (DONE, QUARANTINED) for s in self.states.values()
+        )
 
     def cell_settled(self, cell):
         return all(

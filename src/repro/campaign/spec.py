@@ -16,9 +16,10 @@ the campaign root (the final results document).  See
 ``docs/CAMPAIGNS.md`` for the on-disk spec format.
 """
 
+import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 import repro.core.pthammer  # noqa: F401 — breaks the patterns<->core import cycle
@@ -59,18 +60,6 @@ class ShardSpec:
     index: int  # global shard index; names the result file
     seed: int
 
-    def to_dict(self):
-        return {
-            "key": self.key,
-            "cell": self.cell,
-            "machine": self.machine,
-            "defense": self.defense,
-            "chaos": self.chaos,
-            "pattern": self.pattern,
-            "index": self.index,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -100,12 +89,13 @@ class SupervisorConfig:
     liveness_timeout: float = 60.0
     #: Longest the supervisor sleeps (host seconds, capped at 0.25)
     #: before it checks control markers, signals and liveness; a
-    #: worker exit wakes it at once.
+    #: shard that ends wakes it at once.
     poll_interval: float = 0.05
     #: Seconds in-flight shards get to finish on pause/cancel before
     #: being killed (they re-run on resume; results are unaffected).
     grace: float = 5.0
-    #: Consecutive abnormal worker deaths before parallelism halves.
+    #: Worker deaths by a signal, counted since the last halving (shards
+    #: that complete do not reset the count), that halve parallelism.
     degrade_after: int = 3
     #: Worker heartbeat rate limit, host seconds.
     heartbeat_interval: float = 0.2
@@ -124,16 +114,7 @@ class SupervisorConfig:
         return self
 
     def to_dict(self):
-        return {
-            "jobs": self.jobs,
-            "max_attempts": self.max_attempts,
-            "backoff": self.backoff,
-            "liveness_timeout": self.liveness_timeout,
-            "poll_interval": self.poll_interval,
-            "grace": self.grace,
-            "degrade_after": self.degrade_after,
-            "heartbeat_interval": self.heartbeat_interval,
-        }
+        return asdict(self)
 
 
 def _validate_pattern(name):
@@ -292,42 +273,22 @@ class CampaignSpec:
         """Expand the matrix into the shard/cell DAG."""
         cells = []
         shards = []
-        index = 0
-        for machine in self.machines:
-            for defense in self.defenses:
-                for chaos in self.chaos:
-                    for pattern in self.patterns:
-                        cell_key = "m=%s,d=%s,c=%s,p=%s" % (
-                            machine, defense, chaos, pattern,
-                        )
-                        cell_shards = []
-                        for shard_no in range(self.shards_per_cell):
-                            seed = derive_seed(
-                                self.seed, "campaign", cell_key, shard_no
-                            )
-                            shard = ShardSpec(
-                                key="%s,s=%d" % (cell_key, shard_no),
-                                cell=cell_key,
-                                machine=machine,
-                                defense=defense,
-                                chaos=chaos,
-                                pattern=pattern,
-                                index=index,
-                                seed=seed,
-                            )
-                            cell_shards.append(shard)
-                            shards.append(shard)
-                            index += 1
-                        cells.append(
-                            CellSpec(
-                                key=cell_key,
-                                machine=machine,
-                                defense=defense,
-                                chaos=chaos,
-                                pattern=pattern,
-                                shards=tuple(cell_shards),
-                            )
-                        )
+        for axes in itertools.product(
+            self.machines, self.defenses, self.chaos, self.patterns
+        ):
+            cell_key = "m=%s,d=%s,c=%s,p=%s" % axes
+            cell_shards = tuple(
+                ShardSpec(
+                    "%s,s=%d" % (cell_key, shard_no),
+                    cell_key,
+                    *axes,
+                    index=len(shards) + shard_no,
+                    seed=derive_seed(self.seed, "campaign", cell_key, shard_no),
+                )
+                for shard_no in range(self.shards_per_cell)
+            )
+            shards.extend(cell_shards)
+            cells.append(CellSpec(cell_key, *axes, shards=cell_shards))
         return CampaignPlan(spec=self, cells=cells, shards=shards)
 
 

@@ -11,17 +11,17 @@
     results.json      the final, deterministic results document
     quarantine.json   poison-shard report (degraded campaigns)
 
-:class:`Supervisor` is the run loop: it forks one worker per in-flight
-shard, reaps exits, checks liveness against the telemetry spool, backs
-off and retries failures, quarantines poison shards, degrades
-parallelism when workers keep dying abnormally, and turns SIGTERM /
-SIGINT / control markers into a clean checkpoint-and-pause.  Every
+:class:`Supervisor` is the run loop: it hands ready shards to a
+:class:`~repro.utils.pool.WorkerPool` of persistent workers, reaps
+their outcomes, checks liveness against the telemetry spool, backs off
+and retries failures, quarantines poison shards, degrades parallelism
+when workers keep dying abnormally, and turns SIGTERM / SIGINT /
+control markers into a clean checkpoint-and-pause.  Every
 decision it makes is journaled *before* its effects matter, so a
 ``kill -9`` at any instant loses at most in-flight shard attempts —
 which re-run deterministically on resume.
 """
 
-import json
 import os
 import signal
 import time
@@ -39,10 +39,12 @@ from repro.campaign.journal import (
 )
 from repro.campaign.scheduler import Scheduler
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.worker import _entry, load_result
+from repro.campaign.worker import load_result, worker_main
 from repro.errors import CampaignError, ConfigError
 from repro.observe.ledger import CAMPAIGN_RUN, RunLedger, RunRecord
 from repro.observe.stream import TelemetryAggregator, _append_line
+from repro.utils.pool import DIED, DONE, RAISED, WorkerPool, exit_reason
+from repro.utils.serialize import write_json_atomic
 
 #: Environment override for the campaigns root directory.
 CAMPAIGNS_ENV_VAR = "REPRO_CAMPAIGNS_DIR"
@@ -71,7 +73,7 @@ def _pid_alive(pid):
 def _tick(spec):
     """The longest the supervisor sleeps before it checks its control
     markers, signals and worker liveness again: ``poll_interval``,
-    capped at 0.25 s.  A worker exit ends the sleep at once."""
+    capped at 0.25 s.  A shard that ends wakes it at once."""
     return max(0.001, min(spec.supervisor.poll_interval, 0.25))
 
 
@@ -236,10 +238,11 @@ class Supervisor:
         self.clock = clock
         self.spec = None  # bound by run()
         self.plan = None
-        self.inflight = {}  # shard key -> {"proc", "pid", "attempt", "launched"}
+        self.pool = None  # the run's WorkerPool
+        self.inflight = {}  # shard key -> {"pid", "attempt", "launched"}
         self.results = {}  # shard key -> deterministic data payload
         self.quarantine = {}  # shard key -> reason
-        self.consecutive_abnormal = 0
+        self.abnormal_deaths = 0  # signal deaths since the last halving
         self._stop_request = None  # "pause" | "cancel" once decided
 
     # -- startup ----------------------------------------------------------
@@ -307,6 +310,12 @@ class Supervisor:
         cells_done = set(folded["cells_done"])
         tick = _tick(spec)
 
+        def run_shard(item):
+            shard, attempt = item
+            return worker_main(shard, spec, campaign.dir, attempt)
+
+        self.pool = WorkerPool(run_shard, self.current_jobs)
+        ended = []
         previous = {
             signal.SIGTERM: signal.signal(signal.SIGTERM, self._on_signal),
             signal.SIGINT: signal.signal(signal.SIGINT, self._on_signal),
@@ -315,7 +324,7 @@ class Supervisor:
             while True:
                 now = self.clock()
                 aggregator.poll()
-                self._reap(scheduler, plan, cells_done)
+                self._reap(ended, scheduler, plan, cells_done)
                 self._check_liveness(aggregator, spec, now)
                 self._poll_control()
                 if (
@@ -330,12 +339,13 @@ class Supervisor:
                     return self._finish(
                         spec, plan, scheduler, started, no_record
                     )
-                self._launch(scheduler, spec, now)
-                self._wait(tick)
+                self._launch(scheduler, now)
+                ended = self.pool.wait(tick)
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
             self._kill_inflight(scheduler)
+            self.pool.close()
 
     def _announce_run(self, spec, plan):
         """Dash-compatible run-begin marker (idempotent across resumes)."""
@@ -364,10 +374,7 @@ class Supervisor:
 
     # -- workers ----------------------------------------------------------
 
-    def _launch(self, scheduler, spec, now):
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
+    def _launch(self, scheduler, now):
         while len(self.inflight) < self.current_jobs:
             state = scheduler.next_ready(now)
             if state is None:
@@ -377,49 +384,21 @@ class Supervisor:
             self.campaign.journal.append(
                 {"type": "shard-start", "key": shard.key, "attempt": attempt}
             )
-            process = context.Process(
-                target=_entry,
-                args=(shard, spec, self.campaign.dir, attempt),
-                daemon=True,
-            )
-            process.start()
             self.inflight[shard.key] = {
-                "proc": process,
-                "pid": process.pid,
+                "pid": self.pool.submit(shard.key, (shard, attempt)),
                 "attempt": attempt,
                 "launched": now,
             }
 
-    def _wait(self, timeout):
-        """Sleep up to ``timeout`` host seconds; a worker exit wakes it.
-
-        Waits on the in-flight workers' process sentinels, not on
-        ``os.wait()``, which would reap children behind
-        ``multiprocessing``'s back and lose their exit codes.  With
-        nothing in flight this is a plain sleep.
-        """
-        from multiprocessing.connection import wait
-
-        wait([entry["proc"].sentinel for entry in self.inflight.values()], timeout)
-
-    def _reap(self, scheduler, plan, cells_done):
-        for key in list(self.inflight):
-            entry = self.inflight[key]
-            process = entry["proc"]
-            if process.is_alive():
-                continue
-            process.join()
-            del self.inflight[key]
+    def _reap(self, ended, scheduler, plan, cells_done):
+        """Journal the shards that :meth:`WorkerPool.wait` saw end."""
+        for key, kind, value in ended:
+            entry = self.inflight.pop(key)
             shard = scheduler.states[key].shard
             result = load_result(self.campaign.dir, shard.index)
-            genuine = (
-                process.exitcode == 0
-                and result is not None
-                and result.get("attempt") == entry["attempt"]
-                and result.get("key") == key
-            )
-            if genuine:
-                self.consecutive_abnormal = 0
+            if kind == DONE and result is not None and (
+                result.get("attempt"), result.get("key")
+            ) == (entry["attempt"], key):
                 self.campaign.journal.append(
                     {
                         "type": "shard-done",
@@ -431,24 +410,23 @@ class Supervisor:
                 scheduler.mark_done(key)
                 self.results[key] = result["data"]
                 self._maybe_finish_cell(plan, scheduler, key, cells_done)
+                continue
+            if kind == DIED:
+                reason = exit_reason(value)
+                if value < 0:  # a signal, not an exit
+                    self.abnormal_deaths += 1
+            elif kind == RAISED:
+                reason = "%s: %s" % (type(value).__name__, value)
             else:
-                if process.exitcode is not None and process.exitcode < 0:
-                    self.consecutive_abnormal += 1
-                else:
-                    self.consecutive_abnormal = 0
-                reason = (
-                    "killed by signal %d" % -process.exitcode
-                    if process.exitcode is not None and process.exitcode < 0
-                    else "exit code %s without a result" % process.exitcode
-                )
-                self._record_failure(scheduler, plan, key, reason, cells_done)
-                self._maybe_degrade()
+                reason = "finished without a result"
+            self._record_failure(scheduler, plan, key, reason, cells_done)
+            self._maybe_degrade()
 
     def _record_failure(self, scheduler, plan, key, reason, cells_done):
         self.campaign.journal.append(
             {"type": "shard-failed", "key": key, "reason": reason}
         )
-        status = scheduler.mark_failed(key, self.clock(), error=reason)
+        status = scheduler.mark_failed(key, self.clock())
         if status == "quarantined":
             attempts = scheduler.states[key].attempts
             full_reason = "%s after %d attempt(s)" % (reason, attempts)
@@ -469,40 +447,42 @@ class Supervisor:
             self.campaign.journal.append({"type": "cell-done", "cell": cell.key})
 
     def _check_liveness(self, aggregator, spec, now):
-        """Kill workers silent beyond the liveness window (then reap)."""
+        """Kill the workers of shards silent beyond the liveness window.
+
+        Silence counts from the shard's launch or its worker's last
+        spool line, whichever is later: a worker's lines from earlier
+        shards say nothing about this one."""
         timeout = spec.supervisor.liveness_timeout
         if timeout <= 0:
             return
         for key, entry in self.inflight.items():
-            silence = aggregator.worker_silence(entry["pid"])
-            if silence is None:
-                silence = now - entry["launched"]
-            if silence > timeout and entry["proc"].is_alive():
-                try:
-                    os.kill(entry["pid"], signal.SIGKILL)
-                except OSError:
-                    pass
+            silence = now - entry["launched"]
+            spoken = aggregator.worker_silence(entry["pid"])
+            if spoken is not None:
+                silence = min(silence, spoken)
+            if silence > timeout:
+                self.pool.kill(key)
 
     def _maybe_degrade(self):
+        """Halve parallelism after every ``degrade_after`` signal deaths.
+
+        Completed shards do not reset the count, so whether a run
+        degrades depends on how many of its attempts die, not on the
+        order in which deaths and completions arrive."""
         threshold = self.spec.supervisor.degrade_after
-        if self.consecutive_abnormal >= threshold and self.current_jobs > 1:
+        if self.abnormal_deaths >= threshold and self.current_jobs > 1:
             self.current_jobs = max(1, self.current_jobs // 2)
-            self.consecutive_abnormal = 0
+            self.abnormal_deaths = 0
             self.campaign.journal.append(
                 {"type": "degrade", "jobs_to": self.current_jobs}
             )
 
     def _kill_inflight(self, scheduler):
-        for key, entry in list(self.inflight.items()):
-            if entry["proc"].is_alive():
-                try:
-                    os.kill(entry["pid"], signal.SIGKILL)
-                except OSError:
-                    pass
-            entry["proc"].join()
+        for key in list(self.inflight):
+            self.pool.kill(key)
+            del self.inflight[key]
             self.campaign.journal.append({"type": "shard-released", "key": key})
             scheduler.release_running(key)
-            del self.inflight[key]
 
     # -- endings ----------------------------------------------------------
 
@@ -513,9 +493,9 @@ class Supervisor:
         tick = _tick(spec)
         cells_done = set()  # cell-done entries re-derive on resume
         while self.inflight and self.clock() < deadline:
-            self._wait(min(tick, deadline - self.clock()))
+            ended = self.pool.wait(min(tick, deadline - self.clock()))
             aggregator.poll()
-            self._reap(scheduler, self.plan, cells_done)
+            self._reap(ended, scheduler, self.plan, cells_done)
         self._kill_inflight(scheduler)
         self.campaign.clear_control()
         if request == "cancel":
@@ -600,7 +580,7 @@ class Supervisor:
             "cells": cells,
             "totals": totals,
         }
-        self._atomic_json(self.campaign.results_path, document)
+        write_json_atomic(self.campaign.results_path, document, indent=1)
 
     def _write_quarantine_report(self, scheduler):
         report = {
@@ -614,17 +594,7 @@ class Supervisor:
                 for state in scheduler.quarantined()
             ],
         }
-        self._atomic_json(self.campaign.quarantine_path, report)
-
-    @staticmethod
-    def _atomic_json(path, payload):
-        temp = path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
+        write_json_atomic(self.campaign.quarantine_path, report, indent=1)
 
     def _record_run(self, spec, plan, final_state, started):
         try:

@@ -1,12 +1,14 @@
-"""Campaign worker: runs one shard attempt in its own process.
+"""Campaign worker: runs one shard attempt in a pool worker process.
 
-Workers are forked by the supervisor, one per in-flight shard.  A
-worker heartbeats into the campaign's telemetry spool (PR 8's format,
-so ``repro dash`` can watch a campaign live), executes its shard's
-workload on a freshly booted machine seeded from the shard spec, and
-persists the outcome *atomically* to ``results/shard-<index>.json``.
-The supervisor never trusts a worker's exit code alone: a shard counts
-as done only when its result file exists for the right attempt.
+The supervisor's :class:`~repro.utils.pool.WorkerPool` forks up to
+``jobs`` workers and hands each one shard attempt at a time to
+:func:`worker_main`.  An attempt heartbeats into the campaign's
+telemetry spool (so ``repro dash`` can watch a campaign live), executes
+its shard's workload on a freshly booted machine seeded from the shard
+spec, and persists the outcome *atomically* to
+``results/shard-<index>.json``.  The supervisor never trusts a clean
+return alone: a shard counts as done only when its result file exists
+for the right attempt.
 
 Determinism contract: the ``data`` payload a worker persists is a pure
 function of the shard spec (machine preset + defense + chaos + pattern
@@ -32,6 +34,7 @@ from repro.machine import AttackerView, Inspector, Machine
 from repro.machine.configs import MACHINE_PRESETS
 from repro.observe.stream import TelemetryEmitter
 from repro.utils.rng import DeterministicRng
+from repro.utils.serialize import write_json_atomic
 
 #: Bump when the result-file format changes incompatibly.
 RESULT_VERSION = 1
@@ -57,24 +60,6 @@ def load_result(campaign_dir, index):
     if not isinstance(payload, dict) or payload.get("v") != RESULT_VERSION:
         return None
     return payload
-
-
-def _write_result(campaign_dir, shard, attempt, data, meta):
-    """Persist via temp file + atomic rename; readers never see a tear."""
-    path = result_path(campaign_dir, shard.index)
-    payload = {
-        "v": RESULT_VERSION,
-        "key": shard.key,
-        "attempt": attempt,
-        "data": data,
-        "meta": meta,
-    }
-    tmp = path + ".tmp.%d" % os.getpid()
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 def _build_machine(shard):
@@ -157,11 +142,12 @@ def execute_shard(shard, attack_options, emitter=None):
 
 
 def worker_main(shard, spec, campaign_dir, attempt):
-    """Process entry point for one shard attempt (run in a fork).
+    """Run one shard attempt in a pool worker.
 
-    Never raises: a workload failure exits nonzero with the error
-    journaled by the supervisor as a shard failure; success is the
-    atomically renamed result file plus exit 0.
+    Success is the atomically renamed result file.  A workload error
+    propagates, and the supervisor journals it as the attempt's
+    failure; a ``kill`` fault ends the worker process itself, as a real
+    crash would.
     """
     started = time.time()
     faults = FaultPlan.from_dict(spec.faults) if spec.faults else FaultPlan()
@@ -176,24 +162,23 @@ def worker_main(shard, spec, campaign_dir, attempt):
     faults.fire(shard, attempt, "start")
     try:
         data = execute_shard(shard, spec.attack, emitter)
-    except Exception as exc:  # journaled by the supervisor as a failure
+    except Exception:
         if emitter is not None:
             emitter.task_done(
                 shard.key, time.time() - started, group=shard.cell, ok=False
             )
-        print(
-            "campaign worker: shard %s attempt %d failed: %s: %s"
-            % (shard.key, attempt, type(exc).__name__, exc),
-            flush=True,
-        )
-        return 1
+        raise
     faults.fire(shard, attempt, "mid")
     meta = {
         "pid": os.getpid(),
         "attempt": attempt,
         "host_seconds": round(time.time() - started, 6),
     }
-    _write_result(campaign_dir, shard, attempt, data, meta)
+    write_json_atomic(
+        result_path(campaign_dir, shard.index),
+        {"v": RESULT_VERSION, "key": shard.key, "attempt": attempt,
+         "data": data, "meta": meta},
+    )
     if emitter is not None:
         emitter.task_done(
             shard.key,
@@ -203,9 +188,3 @@ def worker_main(shard, spec, campaign_dir, attempt):
             group=shard.cell,
             ok=True,
         )
-    return 0
-
-
-def _entry(shard, spec, campaign_dir, attempt):
-    """multiprocessing target: translate the return code into an exit."""
-    raise SystemExit(worker_main(shard, spec, campaign_dir, attempt))

@@ -55,6 +55,7 @@ from repro.machine.configs import MACHINE_PRESETS, tiny_test_config
 from repro.observe import parse_budget_spec, parse_rate_spec
 from repro.observe.ledger import (
     ATTACK_RUN,
+    BENCHMARK_RUN,
     RunLedger,
     RunRecord,
     config_fingerprint,
@@ -351,7 +352,8 @@ def _cmd_attack(args):
 
 
 def _open_output(path):
-    """Open a trace file before the attack, so a bad path fails at once."""
+    """Open an output file before any machine boots, so a bad path
+    fails at once."""
     return open(path, "w") if path else contextlib.nullcontext()
 
 
@@ -993,6 +995,17 @@ def _cmd_bench(args):
     for name in names:
         get_bench(name)  # unknown names fail before any work runs
     ledger = RunLedger()
+    if args.compare is not None and not any(
+        ledger.latest(kind=BENCHMARK_RUN, name=name, label=args.compare)
+        for name in names
+    ):
+        # Comparing against nothing would otherwise "pass": make a
+        # wholly absent baseline loud (CI typo, unseeded ledger).
+        raise ConfigError(
+            "no baseline %r: it has no record for any selected benchmark "
+            "in %s — run `repro bench --record --baseline %s` first"
+            % (args.compare, ledger.root, args.compare)
+        )
     results = []
     for name in names:
         print("bench %s ..." % name, file=sys.stderr)
@@ -1024,14 +1037,6 @@ def _cmd_bench(args):
         print(comparison.render(), file=sys.stderr)
         for line in comparison.machine_lines():
             print(line)
-        if not comparison.diffs:
-            # Comparing against nothing would otherwise "pass": make
-            # a wholly absent baseline loud (CI typo, unseeded ledger).
-            raise ConfigError(
-                "baseline %r has no record for any selected "
-                "benchmark in %s — run `repro bench --record --baseline "
-                "%s` first" % (args.compare, ledger.root, args.compare)
-            )
         if comparison.regressions():
             return 3
     return 0
@@ -1042,7 +1047,8 @@ def _cmd_trace(args):
     config = MACHINES[args.machine]()
     if args.seed is not None:
         config.seed = args.seed
-    with _open_output(args.out) as out_file:
+    with _open_output(args.out) as out_file, \
+            _open_output(args.export_chrome) as chrome_file:
         machine = Machine(config, policy=DEFENSES[args.defense]())
         attacker = AttackerView(machine, machine.boot_process())
         machine.trace.enable()
@@ -1081,14 +1087,14 @@ def _cmd_trace(args):
         if out_file is not None:
             lines = write_trace_jsonl(machine.trace, out_file, machine=config.name)
             print("wrote %d trace lines to %s" % (lines, args.out))
-    if args.export_chrome:
-        events = write_chrome_trace(
-            machine.trace,
-            args.export_chrome,
-            machine=config.name,
-            freq_ghz=config.cpu.freq_ghz,
-        )
-        print("wrote %d chrome trace event(s) to %s" % (events, args.export_chrome))
+        if chrome_file is not None:
+            events = write_chrome_trace(
+                machine.trace,
+                chrome_file,
+                machine=config.name,
+                freq_ghz=config.cpu.freq_ghz,
+            )
+            print("wrote %d chrome trace event(s) to %s" % (events, args.export_chrome))
     return 0
 
 

@@ -2,7 +2,21 @@
 
 
 class ReproError(Exception):
-    """Base class for all simulator errors."""
+    """Base class for all simulator errors.
+
+    Errors pickle by state rather than by constructor arguments, which
+    differ per subclass, so any of them can cross a worker pool's pipe.
+    """
+
+    def __reduce__(self):
+        return (_rebuild_error, (type(self), self.args, self.__dict__))
+
+
+def _rebuild_error(cls, args, state):
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
 
 
 class ConfigError(ReproError):
@@ -89,12 +103,18 @@ class PhaseBudgetExceeded(ReproError):
 
 
 class TaskTimeout(ReproError):
-    """An experiment-engine task exceeded its wall-clock timeout.
+    """An experiment-engine task attempt exceeded its wall-clock timeout.
 
-    In pool mode this signals hung-worker detection (no task completed
-    within the window); serially it interrupts the task via SIGALRM
-    where the platform allows.  Not retryable: a task that hangs once
-    will usually hang again.
+    Raised inside the task via SIGALRM where the platform allows.  Not
+    retryable: a task that hangs once will usually hang again.
+    """
+
+
+class WorkerDied(ReproError):
+    """A pooled experiment-engine worker died while running a task.
+
+    The message names the task and the cause: a signal or exit code,
+    or the engine's watchdog killing a worker that hung.
     """
 
 

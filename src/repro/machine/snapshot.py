@@ -27,7 +27,6 @@ path are the main clients.
 
 import hashlib
 import json
-import os
 from dataclasses import asdict
 
 from repro.errors import SnapshotError
@@ -41,12 +40,18 @@ from repro.machine.configs import (
     TLBConfig,
 )
 from repro.observe.ledger import config_fingerprint
-from repro.utils.serialize import pack, unpack
+from repro.utils.serialize import pack, unpack, write_json_atomic
 
 #: Bump when the snapshot payload schema changes incompatibly.  A
 #: snapshot from another version never half-loads: :class:`MachineSnapshot`
 #: refuses it up front.  Version 2 added the chaos sources' schedules.
 SNAPSHOT_VERSION = 2
+
+#: Component sections of a snapshot's state (``chaos`` is optional).
+_STATE_SECTIONS = (
+    "machine", "physmem", "fault_model", "dram", "caches", "tlb", "walker",
+    "policy", "ptm", "kernel", "addrmap", "metrics",
+)
 
 #: Sub-config dataclasses of :class:`MachineConfig`, keyed by field name
 #: — the recipe for rebuilding a config from its serialized dict.
@@ -68,13 +73,13 @@ def config_from_dict(payload):
     tuples — snapshots guarantee that by shipping the config through
     :func:`pack`/:func:`unpack` rather than bare JSON.
     """
-    kwargs = {}
-    for key, value in payload.items():
-        subconfig = _SUBCONFIGS.get(key)
-        kwargs[key] = subconfig(**value) if subconfig is not None else value
     try:
+        kwargs = {
+            key: _SUBCONFIGS[key](**value) if key in _SUBCONFIGS else value
+            for key, value in payload.items()
+        }
         return MachineConfig(**kwargs).validate()
-    except TypeError as exc:
+    except (AttributeError, TypeError) as exc:
         raise SnapshotError("snapshot config does not fit MachineConfig: %s" % exc)
 
 
@@ -201,7 +206,12 @@ class MachineSnapshot:
 
     @classmethod
     def from_json(cls, text):
-        """Decode :meth:`to_json` output; version-checked."""
+        """Decode :meth:`to_json` output; version- and shape-checked.
+
+        Checks what :meth:`info`, :meth:`config` and ``Machine.restore``
+        read, so a damaged file fails here with a :class:`SnapshotError`
+        rather than deep inside a restore.
+        """
         try:
             payload = json.loads(text)
         except ValueError as exc:
@@ -211,7 +221,21 @@ class MachineSnapshot:
         for key in ("version", "machine", "config", "config_fingerprint", "fast_path", "state", "meta"):
             if key not in payload:
                 raise SnapshotError("snapshot JSON lacks the %r field" % key)
-        return cls(payload)
+        for key in ("config", "state", "meta"):
+            if not isinstance(payload[key], dict):
+                raise SnapshotError("snapshot %r must be a JSON object" % key)
+        state = payload["state"]
+        for section in _STATE_SECTIONS:
+            if not isinstance(state.get(section), dict):
+                raise SnapshotError("snapshot state lacks the %r section" % section)
+        for section, key in (
+            ("machine", "cycles"), ("kernel", "processes"), ("physmem", "frames")
+        ):
+            if key not in state[section]:
+                raise SnapshotError("snapshot state %r lacks %r" % (section, key))
+        snap = cls(payload)
+        snap.config()  # the captured config must rebuild
+        return snap
 
     def save(self, path):
         """Write the snapshot to ``path`` as canonical JSON.
@@ -220,13 +244,7 @@ class MachineSnapshot:
         leaves either the old snapshot or the new one — never a torn
         file that :meth:`load` would reject.
         """
-        temp = "%s.tmp.%d" % (path, os.getpid())
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
+        write_json_atomic(path, self.payload)
 
     @classmethod
     def load(cls, path):

@@ -158,9 +158,9 @@ class TelemetryEmitter:
         )
 
 
-#: Spool directory armed by the parent before the pool forks; forked
-#: workers inherit it and lazily build their own emitter (same pattern
-#: as the engine's ``_WORKER_STATE`` and ``warmstart.activate``).
+#: Spool directory armed by the parent before its pool forks workers;
+#: they inherit it and lazily build their own emitter (same pattern as
+#: the engine's task handler and ``warmstart.activate``).
 _EMITTER_CONFIG = None
 _EMITTERS = {}
 
@@ -282,8 +282,9 @@ class SeriesBuckets:
 
 
 #: A worker is presumed dead after this many heartbeat intervals of
-#: silence (display concern only; the engine's watchdog is the
-#: authority on hung workers).
+#: silence (a display concern only: worker deaths are seen by the
+#: worker pool, hangs by the engine's task watchdog and the campaign
+#: supervisor's liveness check).
 LIVENESS_FACTOR = 3.0
 
 

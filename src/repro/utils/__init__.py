@@ -1,4 +1,10 @@
-"""Shared low-level utilities: deterministic RNG, bit tricks, units, stats."""
+"""Shared low-level utilities: deterministic RNG, bit tricks, units, stats.
+
+Also here, imported from their own modules: JSON helpers
+(:mod:`repro.utils.serialize`), checked CLI argument types
+(:mod:`repro.utils.cliargs`) and the worker pool both executors run on
+(:mod:`repro.utils.pool`).
+"""
 
 from repro.utils.bitops import bit, parity, set_bit, toggle_bit
 from repro.utils.rng import DeterministicRng, hash64, hash_to_unit

@@ -1,4 +1,4 @@
-"""Lossless JSON packing for component state trees.
+"""JSON helpers: lossless packing of state trees, torn-tail-tolerant JSONL.
 
 JSON has neither tuples nor non-string dict keys, but component
 ``state_dict()`` payloads use both: TLB tags are ``(as_id, vpn)``
@@ -13,7 +13,15 @@ the snapshot protocol produces (docs/SNAPSHOTS.md).
 Dict iteration order survives both directions (plain dicts via JSON
 object order, pair lists positionally), which matters for LRU
 structures whose ordering *is* state.
+
+:func:`read_json_lines` reads the append-only JSONL files the
+experiment engine's checkpoints and the campaign journal are made of;
+:func:`write_json_atomic` writes the documents readers must never see
+half-written (snapshots, shard results, campaign reports).
 """
+
+import json
+import os
 
 _MARKERS = ("__tuple__", "__pairs__")
 
@@ -45,3 +53,40 @@ def unpack(value):
     if isinstance(value, list):
         return [unpack(item) for item in value]
     return value
+
+
+def read_json_lines(path, damaged):
+    """Parse a JSON-lines file that a crash may have cut short.
+
+    Returns ``[(line number, value)]`` for every non-blank line.  A
+    last line that does not parse is a write the crash tore, and is
+    skipped; one with intact lines after it means the file was damaged
+    after writing, and raises ``damaged(line number)``.  Lines are read
+    as bytes, so one that is not UTF-8 is one more unparsable line.
+    """
+    with open(path, "rb") as handle:
+        lines = [
+            (number, line)
+            for number, line in enumerate(handle.read().splitlines(), 1)
+            if line.strip()
+        ]
+    parsed = []
+    for number, line in lines:
+        try:
+            parsed.append((number, json.loads(line)))
+        except ValueError:
+            if number != lines[-1][0]:
+                raise damaged(number)
+    return parsed
+
+
+def write_json_atomic(path, payload, indent=None):
+    """Write ``payload`` as sorted-key JSON through an fsynced temp file
+    and a rename: readers see the old file or the new one, never a tear."""
+    temp = "%s.tmp.%d" % (path, os.getpid())
+    with open(temp, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=indent)
+        handle.write("\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temp, path)

@@ -129,6 +129,21 @@ def test_worker_exit_not_the_tick_launches_the_next_shard():
     assert elapsed < 1.0, elapsed
 
 
+def test_healthy_campaign_forks_at_most_jobs_workers():
+    """Workers persist across shards: eight shards at jobs=2 run in at
+    most two worker processes."""
+    from repro.campaign.worker import load_result
+
+    spec = make_spec(shards_per_cell=4)
+    campaign, state = run_campaign(spec)
+    assert state == COMPLETED
+    pids = {
+        load_result(campaign.dir, shard.index)["meta"]["pid"]
+        for shard in spec.compile_plan().shards
+    }
+    assert 1 <= len(pids) <= 2, pids
+
+
 def test_completed_campaign_cannot_be_resumed():
     campaign, _ = run_campaign(make_spec())
     with pytest.raises(CampaignError, match="terminal"):

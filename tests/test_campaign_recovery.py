@@ -90,6 +90,30 @@ def wait_for(predicate, timeout=30.0, interval=0.02):
     return False
 
 
+def spool_workers(campaign):
+    """Pids of every worker that wrote to the campaign's spool."""
+    return {
+        int(name[len("worker-"):-len(".jsonl")])
+        for name in os.listdir(campaign.spool_dir)
+        if name.startswith("worker-")
+    }
+
+
+def running(pid):
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.kill(pid, 0)
+        except OSError:
+            return False
+        return True
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 def test_sigkill_mid_run_then_resume_is_byte_identical(tmp_path):
     baseline = run_uninterrupted("baseline")
 
@@ -103,6 +127,12 @@ def test_sigkill_mid_run_then_resume_is_byte_identical(tmp_path):
     ), process.communicate(timeout=5)
     os.kill(process.pid, signal.SIGKILL)
     process.wait(timeout=10)
+    # no worker the killed supervisor forked outlives it
+    workers = spool_workers(victim)
+    assert workers
+    assert wait_for(
+        lambda: not any(running(pid) for pid in workers), timeout=5.0
+    ), sorted(pid for pid in workers if running(pid))
 
     folded = victim.folded()
     assert folded["state"] == RUNNING  # the journal still says running

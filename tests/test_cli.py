@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import json
 import os
 from datetime import timedelta
 from unittest import mock
@@ -14,6 +15,7 @@ from repro.cli import DEFENSES, MACHINES, build_parser, main
 from repro.defenses import CTAPolicy
 from repro.errors import OutOfMemory
 from repro.machine import Machine
+from repro.machine.snapshot import SNAPSHOT_VERSION
 
 
 def test_machine_and_defense_registries():
@@ -234,6 +236,13 @@ _REGRESSIONS = [
 _UNWRITABLE_TRACES = [
     ("trace", "--out", "/nonexistent/d/x.jsonl"),
     ("attack", "--trace", "/nonexistent/d/x.jsonl"),
+    ("trace", "--export-chrome", "/nonexistent/d/x.json"),
+]
+#: Invocations that did their work before finding a bad input.
+_LATE_CHECKS = [
+    ("snapshot", "info", "<bad-snapshot>"),
+    ("snapshot", "load", "<bad-snapshot>"),
+    ("bench", "--only", "sec4d-tiny", "--compare", "nosuch"),
 ]
 
 
@@ -310,9 +319,17 @@ def bad_paths(tmp_path_factory):
     (root / "not-json").write_text("{not json")
     (root / "empty").write_text("")
     (root / "binary").write_bytes(b"\x80\x81 not utf-8\n")
+    # Every top-level field present, but a config and state of the
+    # wrong shape.
+    (root / "bad-snapshot").write_text(json.dumps({
+        "version": SNAPSHOT_VERSION, "machine": "tiny", "config": "abc",
+        "config_fingerprint": "0" * 16, "fast_path": True, "state": {},
+        "meta": {},
+    }))
     paths = {
         "<%s>" % name: str(root / name)
-        for name in ("directory", "not-json", "empty", "binary", "missing")
+        for name in ("directory", "not-json", "empty", "binary", "missing",
+                     "bad-snapshot")
     }
     paths["<unwritable>"] = str(root / "missing" / "trace.jsonl")
     return paths
@@ -325,7 +342,7 @@ def _refuse_boot(self, *args, **kwargs):
 def _pin_examples(test):
     for argv in _REGRESSIONS:
         test = example(case=(argv, True))(test)
-    for argv in _UNWRITABLE_TRACES:
+    for argv in _UNWRITABLE_TRACES + _LATE_CHECKS:
         test = example(case=(argv, False))(test)
     return test
 

@@ -124,14 +124,15 @@ def test_bench_compare_tolerance_is_configurable(capsys):
 def test_bench_compare_missing_baseline_is_a_clear_error(capsys):
     """Comparing against a baseline with no records must not silently
     pass (a CI typo or unseeded ledger would otherwise green-light any
-    regression): clear message on stderr, exit 2, no traceback."""
+    regression): clear message on stderr, exit 2, no traceback, and no
+    bench run first."""
     assert main(["bench", "--only", "sec4d-tiny", "--compare", "nope"]) == 2
     captured = capsys.readouterr()
     assert "no baseline" in captured.err
     assert "has no record for any selected benchmark" in captured.err
     assert "repro bench --record --baseline nope" in captured.err
     assert "Traceback" not in captured.err
-    assert "sec4d-tiny\t-\t-\t-\tmissing-baseline" in captured.out
+    assert captured.out == ""  # refused before any bench ran
 
 
 def test_bench_compare_partial_baseline_still_compares(capsys):

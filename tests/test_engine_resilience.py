@@ -216,3 +216,71 @@ def test_chaos_runs_are_bit_identical_across_jobs():
     assert serial.completed and pooled.completed
     assert serial.result == pooled.result
     assert any(any(d["chaos"].values()) for d in serial.result)
+
+
+# A worker that dies mid-task must fail that task at once.  The script
+# runs in a subprocess under a timeout: an executor that never notices
+# the death hangs its parent instead of failing.
+_WORKER_DEATH_SCRIPT = r"""
+import json, os, signal, sys, time
+
+from repro.analysis.engine import ExperimentSpec, Task, run_experiment
+from repro.errors import ReproError
+
+checkpoint, healed = sys.argv[1], sys.argv[2]
+
+def run_task(task, options):
+    if task.key == "b" and not os.path.exists(healed):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task.key
+
+spec = ExperimentSpec(
+    name="worker-death",
+    title="worker death",
+    build_tasks=lambda options: [Task(key=key) for key in "abcd"],
+    run_task=run_task,
+    reduce=lambda data, options: data,
+)
+report = {}
+started = time.time()
+run = run_experiment(spec, jobs=2, keep_going=True, checkpoint=checkpoint)
+report["seconds"] = time.time() - started
+report["errors"] = {o.key: o.error for o in run.outcomes if o.error}
+report["done"] = sorted(o.key for o in run.outcomes if o.error is None)
+try:
+    run_experiment(spec, jobs=2)
+except ReproError as exc:
+    report["raised"] = "%s: %s" % (type(exc).__name__, exc)
+open(healed, "w").close()
+resumed = run_experiment(spec, jobs=2, checkpoint=checkpoint, resume=True)
+report["rerun"] = [o.key for o in resumed.outcomes if not o.resumed]
+report["result"] = resumed.result
+print(json.dumps(report))
+"""
+
+
+def test_worker_death_fails_its_task_at_once(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", _WORKER_DEATH_SCRIPT,
+         str(tmp_path / "run.jsonl"), str(tmp_path / "healed")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout)
+    assert report["seconds"] < 10
+    assert list(report["errors"]) == ["b"]
+    assert "WorkerDied" in report["errors"]["b"]
+    assert "signal 9 (SIGKILL)" in report["errors"]["b"]
+    assert report["done"] == ["a", "c", "d"]
+    assert "WorkerDied" in report["raised"] and "'b'" in report["raised"]
+    # The checkpoint left the dead task out, so --resume reran exactly it.
+    assert report["rerun"] == ["b"]
+    assert report["result"] == ["a", "b", "c", "d"]
