@@ -290,7 +290,7 @@ def _execute_task(
     spent = 0
     error = None
     emitter = stream.current_emitter()
-    group = task.payload.get("machine") if isinstance(task.payload, dict) else None
+    group = _task_group(task)
     if emitter is not None:
         emitter.heartbeat(task.key)
     _ACTIVE_CAPTURES.append(registries)
@@ -356,12 +356,21 @@ def _execute_task(
     )
 
 
-def _run_pooled(handler, pending, jobs, record, keep_going, watchdog, name):
+def _task_group(task):
+    """The telemetry group of a task: its machine, when it names one."""
+    return task.payload.get("machine") if isinstance(task.payload, dict) else None
+
+
+def _run_pooled(
+    handler, pending, jobs, record, keep_going, watchdog, name, spool_dir=None
+):
     """Fan ``pending`` out over a :class:`WorkerPool`; ``record`` each outcome.
 
     ``handler`` runs one task in a worker.  A worker death fails its
     task at once: captured as the task's error under ``keep_going``,
-    raised as :class:`~repro.errors.WorkerDied` otherwise.  With a
+    raised as :class:`~repro.errors.WorkerDied` otherwise, and with a
+    telemetry ``spool_dir`` reported there as the dead worker's failed
+    task (:func:`~repro.observe.stream.report_death`).  With a
     ``watchdog``, a task still running that many host seconds after it
     started has its worker killed, and that death is handled like any
     other.
@@ -391,6 +400,10 @@ def _run_pooled(handler, pending, jobs, record, keep_going, watchdog, name):
                     continue
                 if kind == RAISED:
                     raise value
+                if spool_dir is not None:
+                    stream.report_death(
+                        spool_dir, pid, key, time.time() - started, _task_group(task)
+                    )
                 error = WorkerDied(
                     "experiment %r task %r: worker %d %s" % (
                         name, key, pid,
@@ -769,6 +782,7 @@ def run_experiment(
             _run_pooled(
                 handler, pending, effective_jobs, _record, keep_going,
                 watchdog, spec.name,
+                spool_dir=session.spool_dir if session is not None else None,
             )
         else:
             for task in pending:

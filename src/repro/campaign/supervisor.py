@@ -42,7 +42,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.worker import load_result, worker_main
 from repro.errors import CampaignError, ConfigError
 from repro.observe.ledger import CAMPAIGN_RUN, RunLedger, RunRecord
-from repro.observe.stream import TelemetryAggregator, _append_line
+from repro.observe.stream import TelemetryAggregator, _append_line, report_death
 from repro.utils.pool import DIED, DONE, RAISED, WorkerPool, exit_reason
 from repro.utils.serialize import write_json_atomic
 
@@ -391,7 +391,8 @@ class Supervisor:
             }
 
     def _reap(self, ended, scheduler, plan, cells_done):
-        """Journal the shards that :meth:`WorkerPool.wait` saw end."""
+        """Journal the shards that :meth:`WorkerPool.wait` saw end; a
+        dead worker's attempt also goes to the spool as a failed task."""
         for key, kind, value in ended:
             entry = self.inflight.pop(key)
             shard = scheduler.states[key].shard
@@ -415,6 +416,10 @@ class Supervisor:
                 reason = exit_reason(value)
                 if value < 0:  # a signal, not an exit
                     self.abnormal_deaths += 1
+                report_death(
+                    self.campaign.spool_dir, entry["pid"], key,
+                    self.clock() - entry["launched"], group=shard.cell,
+                )
             elif kind == RAISED:
                 reason = "%s: %s" % (type(value).__name__, value)
             else:

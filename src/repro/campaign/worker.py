@@ -39,6 +39,9 @@ from repro.utils.serialize import write_json_atomic
 #: Bump when the result-file format changes incompatibly.
 RESULT_VERSION = 1
 
+#: Reads per batch in the probe workload, which heartbeats once per batch.
+PROBE_BATCH = 512
+
 
 def result_path(campaign_dir, index):
     return os.path.join(campaign_dir, "results", "shard-%d.json" % index)
@@ -79,7 +82,10 @@ def _run_probe(shard, attack_options, emitter):
     Milliseconds per shard instead of seconds — what CI smoke and the
     crash-injection tests run, exercising every supervision path
     (seeding, chaos attach, defense install, telemetry, result
-    persistence) without the full escalation attack.
+    persistence) without the full escalation attack.  The reads go
+    through :meth:`AttackerView.read_many` in batches of
+    :data:`PROBE_BATCH`, each batch's addresses drawn from the probe's
+    private stream.
     """
     machine = _build_machine(shard)
     attacker = AttackerView(machine, machine.boot_process())
@@ -87,13 +93,13 @@ def _run_probe(shard, attack_options, emitter):
     reads = int(attack_options.get("probe_reads", 2000))
     base = attacker.map_pages(pages)
     span = pages * attacker.page_size
-    rng = DeterministicRng(shard.seed).fork("campaign-probe")
+    randint = DeterministicRng(shard.seed).fork("campaign-probe").randint
     checksum = 0
-    for _ in range(reads):
-        vaddr = base + (rng.randint(span) & ~0x7)
-        checksum = (checksum * 1099511628211 + attacker.read(vaddr) + 1) & (
-            (1 << 64) - 1
-        )
+    for start in range(0, reads, PROBE_BATCH):
+        count = min(PROBE_BATCH, reads - start)
+        vaddrs = [base + (randint(span) & ~0x7) for _ in range(count)]
+        for value in attacker.read_many(vaddrs):
+            checksum = (checksum * 1099511628211 + value + 1) & ((1 << 64) - 1)
         if emitter is not None:
             emitter.heartbeat(phase=shard.key)
     return {

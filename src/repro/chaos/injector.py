@@ -14,10 +14,27 @@ machine's own streams — so:
 
 The injector also guards against re-entrancy: noise that itself
 touches the cache hierarchy must not recursively trigger more noise.
+
+Attach binds, per hook, only the sources whose class overrides it
+(:func:`_bound_hooks`): the machine calls the injector twice per
+access, and an inert base-class hook draws nothing, so skipping it
+leaves every stream, draw and schedule as it was.
 """
 
+from repro.chaos.sources import NoiseSource
 from repro.errors import ConfigError
 from repro.utils.rng import DeterministicRng, hash64
+
+
+def _bound_hooks(sources, streams, name):
+    """``(bound hook, stream)`` for each source whose class overrides
+    the :class:`NoiseSource` hook ``name``, in profile order."""
+    inert = getattr(NoiseSource, name)
+    return [
+        (getattr(source, name), stream)
+        for source, stream in zip(sources, streams)
+        if getattr(type(source), name) is not inert
+    ]
 
 
 class ChaosInjector:
@@ -28,6 +45,8 @@ class ChaosInjector:
         self.machine = None
         self.sources = config.build_sources()
         self._streams = []
+        self._access_hooks = []
+        self._jitter_hooks = []
         self._active = False
 
     def attach(self, machine):
@@ -43,26 +62,28 @@ class ChaosInjector:
             )
             for source in self.sources
         ]
+        self._access_hooks = _bound_hooks(self.sources, self._streams, "on_access")
+        self._jitter_hooks = _bound_hooks(self.sources, self._streams, "jitter")
         return self
 
     def on_access(self, vaddr):
-        """Run every source's per-access hook; may raise TransientFault."""
+        """Run the sources' bound per-access hooks; may raise TransientFault."""
         if self._active:
             return  # noise-induced activity must not trigger more noise
         self._active = True
         try:
             machine = self.machine
-            for source, stream in zip(self.sources, self._streams):
-                source.on_access(machine, stream, vaddr)
+            for hook, stream in self._access_hooks:
+                hook(machine, stream, vaddr)
         finally:
             self._active = False
 
     def jitter_cycles(self):
-        """Total extra latency cycles the sources add to this access."""
+        """Extra latency cycles the bound jitter hooks add to this access."""
         machine = self.machine
         total = 0
-        for source, stream in zip(self.sources, self._streams):
-            total += source.jitter(machine, stream)
+        for hook, stream in self._jitter_hooks:
+            total += hook(machine, stream)
         return total
 
     # -- snapshot protocol (docs/SNAPSHOTS.md) --------------------------

@@ -54,8 +54,7 @@ def profile_llc_miss_rate(attacker, inspector, target_va, lines, trials=40):
     misses = 0
     attacker.touch(target_va)
     for _ in range(trials):
-        for va in lines:
-            attacker.touch(va)
+        attacker.touch_many(lines)
         before = inspector.perf_snapshot()
         attacker.touch(target_va)
         if inspector.llc_miss_delta(before) > 0:

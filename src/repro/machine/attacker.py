@@ -69,10 +69,22 @@ class AttackerView:
         """Store a qword at ``vaddr``."""
         self._machine.access(self.process, vaddr, write=True, value=value)
 
+    def read_many(self, vaddrs):
+        """Load the qword at every address in ``vaddrs``, in order.
+
+        The batch form of ``[read(va) for va in vaddrs]``: the same
+        values, cycles, trace events and metrics (see
+        ``Machine.access_many``), with per-access dispatch amortised.
+        Unlike :meth:`read_bulk`, every read is simulated.
+        """
+        return self._machine.access_many(self.process, vaddrs, collect=True)
+
     def read_bulk(self, vaddrs):
         """Stream qword reads over many addresses (spray scanning).
 
         Returns one value per address; unreadable pages give ``None``.
+        No per-read microarchitectural state is simulated: each read
+        costs a flat streaming charge (``Machine.bulk_read``).
         """
         return self._machine.bulk_read(self.process, vaddrs)
 

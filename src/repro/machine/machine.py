@@ -232,8 +232,8 @@ class Machine:
         exactly this).  Page faults are transparently serviced by the
         kernel, charging its handling cost, then the access retries.
 
-        For loops of loads whose values are discarded, prefer
-        :meth:`access_many` — behaviourally identical, but batched.
+        For loops of loads, prefer :meth:`access_many` — behaviourally
+        identical, but batched.
         """
         cpu = self.config.cpu
         self._instr_seq += 1
@@ -308,14 +308,16 @@ class Machine:
         batch.  With ``REPRO_FAST_PATH=0`` (or ``fast_path=False``) it
         degrades to the literal scalar loop.
 
-        Loads only: the hammer rounds and eviction sweeps this API
-        exists for never store, and read values are discarded.  Returns
-        the per-access latencies as a list when ``collect`` is true,
-        else ``None``.
+        Loads only: the hammer rounds, eviction sweeps and probe reads
+        this API exists for never store.  Returns the loaded qwords as a
+        list when ``collect`` is true, else ``None``.  Each word is read
+        where the scalar :meth:`access` reads it, so a flip or churn
+        that a later access in the batch causes cannot leak into an
+        earlier value.
         """
         if not self.fast_path:
             if collect:
-                return [self.access(process, vaddr).latency for vaddr in vaddrs]
+                return [self.access(process, vaddr).value for vaddr in vaddrs]
             for vaddr in vaddrs:
                 self.access(process, vaddr)
             return None
@@ -386,6 +388,7 @@ class Machine:
         tlb_lookup_huge = tlb.lookup_huge
         caches_access = self.caches.access
         dram_access = self.dram.access
+        frame_words = self.physmem.frame_words
 
         # Batch-local machine state (written back in finally).
         cycles = self.cycles
@@ -398,7 +401,7 @@ class Machine:
         llc_misses = 0
         page_faults = 0
         loads = 0
-        latencies = [] if collect else None
+        values = [] if collect else None
 
         def walk_phys(paddr):
             # _phys_access(source="walk") against the batch-local state;
@@ -534,8 +537,13 @@ class Machine:
                 if chaos is not None:
                     latency += chaos.jitter_cycles()
                 loads += 1
-                # The scalar path reads the word here; reads are pure
-                # (no state, no cycle charge), so the batch skips them.
+                if collect:
+                    # Where the scalar path reads the word; a batch
+                    # whose values nobody wants skips the pure read.
+                    words = frame_words(paddr >> PAGE_SHIFT)
+                    values.append(
+                        0 if words is None else words[(paddr & page_off_mask) >> 3]
+                    )
                 cycles += latency
                 if observed:
                     self.cycles = cycles
@@ -549,8 +557,6 @@ class Machine:
                             source=source,
                             level=cache_level,
                         )
-                if collect:
-                    latencies.append(latency)
         finally:
             self.cycles = cycles
             self._instr_seq = instr_seq
@@ -569,7 +575,7 @@ class Machine:
                 metrics.inc(PAGE_FAULTS, page_faults)
             if loads:
                 metrics.inc(LOADS, loads)
-        return latencies
+        return values
 
     #: Flat per-read cycle charge for bulk scans: a TLB-missing,
     #: cache-missing streaming read (walk + one DRAM fetch, amortised).

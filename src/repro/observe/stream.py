@@ -94,12 +94,14 @@ class TelemetryEmitter:
     One emitter per process; the spool file is keyed by pid so forked
     pool workers never contend.  ``heartbeat`` is rate-limited to
     ``heartbeat_interval`` host seconds; ``task_done`` always writes
-    (it is the bounded metric delta the aggregator folds in).
+    (it is the bounded metric delta the aggregator folds in).  A pool's
+    parent passes the ``pid`` of a worker that died mid-task to write
+    the failed ``task`` line the worker never could (:func:`report_death`).
     """
 
-    def __init__(self, spool_dir, heartbeat_interval=1.0, clock=time.time):
+    def __init__(self, spool_dir, heartbeat_interval=1.0, clock=time.time, pid=None):
         self.spool_dir = spool_dir
-        self.pid = os.getpid()
+        self.pid = os.getpid() if pid is None else pid
         self.path = os.path.join(spool_dir, "worker-%d.jsonl" % self.pid)
         self.heartbeat_interval = heartbeat_interval
         self.clock = clock
@@ -129,33 +131,49 @@ class TelemetryEmitter:
         latency=None,
         group=None,
         ok=True,
+        died=False,
     ):
         """Record one finished task's delta.
 
         ``latency`` is a :class:`CycleHistogram` (or its ``state_dict``)
         of this task's hammer-round span lengths — mergeable, so the
         aggregator can fold sketches from any number of workers into
-        exact combined percentile estimates.
+        exact combined percentile estimates.  ``died`` marks the failed
+        task of a worker that is gone.
         """
         if isinstance(latency, CycleHistogram):
             latency = latency.state_dict() if latency.count else None
         now = self.clock()
         self._last_heartbeat = now  # a task line proves liveness too
-        _append_line(
-            self.path,
-            {
-                "type": "task",
-                "t": now,
-                "pid": self.pid,
-                "key": key,
-                "group": group,
-                "ok": bool(ok),
-                "seconds": round(seconds, 6),
-                "flips": flips,
-                "cycles": cycles,
-                "latency": latency,
-            },
-        )
+        entry = {
+            "type": "task",
+            "t": now,
+            "pid": self.pid,
+            "key": key,
+            "group": group,
+            "ok": bool(ok),
+            "seconds": round(seconds, 6),
+            "flips": flips,
+            "cycles": cycles,
+            "latency": latency,
+        }
+        if died:
+            entry["died"] = True
+        _append_line(self.path, entry)
+
+
+def report_death(spool_dir, pid, key, seconds, group=None):
+    """Append a dead worker's failed ``task`` line to its spool file.
+
+    A worker killed mid-task writes no line of its own, so without this
+    the task would be missing from the totals and the worker would read
+    as alive until its heartbeats went stale.  The pool's parent calls
+    it once per :data:`~repro.utils.pool.DIED` outcome; the worker is
+    gone, so its file still has one writer at a time.
+    """
+    TelemetryEmitter(spool_dir, pid=pid).task_done(
+        key, seconds, group=group, ok=False, died=True
+    )
 
 
 #: Spool directory armed by the parent before its pool forks workers;
@@ -390,6 +408,7 @@ class TelemetryAggregator:
             worker = self._worker(entry.get("pid"))
             worker["last_seen"] = timestamp
             worker["phase"] = entry.get("phase")
+            worker["dead"] = False  # a reused pid speaks again
         elif kind == "task":
             self._apply_task(entry, timestamp)
 
@@ -403,6 +422,7 @@ class TelemetryAggregator:
                 "seconds": 0.0,
                 "last_seen": None,
                 "phase": None,
+                "dead": False,
             }
         return worker
 
@@ -418,6 +438,7 @@ class TelemetryAggregator:
         worker["seconds"] += seconds
         worker["last_seen"] = timestamp
         worker["phase"] = entry.get("key")
+        worker["dead"] = bool(entry.get("died"))
         if not ok:
             worker["errors"] += 1
             self.errors += 1
@@ -473,11 +494,15 @@ class TelemetryAggregator:
         return max(0.0, (total - self.tasks) / rate)
 
     def worker_liveness(self, interval=1.0):
-        """``{pid: "alive"|"silent"|"done"}`` from heartbeat recency."""
+        """``{pid: "alive"|"silent"|"dead"|"done"}`` from heartbeat
+        recency; "dead" once a death line (:func:`report_death`) is the
+        worker's last."""
         status = {}
         now = self.clock()
         for pid, worker in self.workers.items():
-            if self.finished:
+            if worker["dead"]:
+                status[pid] = "dead"
+            elif self.finished:
                 status[pid] = "done"
             elif worker["last_seen"] is None:
                 status[pid] = "silent"

@@ -23,7 +23,11 @@ from repro.campaign import (
     backoff_delay,
 )
 from repro.campaign.scheduler import DONE, FAILED, PENDING, QUARANTINED
-from repro.errors import CampaignError
+from repro.campaign.worker import _build_machine, execute_shard
+from repro.errors import CampaignError, TransientFault
+from repro.machine import AttackerView, Inspector
+from repro.observe.stream import TelemetryAggregator
+from repro.utils.rng import DeterministicRng
 
 
 def make_spec(name="study", faults=None, **overrides):
@@ -214,6 +218,30 @@ def test_poison_shard_quarantines_and_degrades():
     assert campaign.folded()["jobs"] == 1
 
 
+def test_worker_deaths_reach_the_telemetry_spool():
+    """A killed attempt writes no spool line of its own; the supervisor
+    writes its failed task line, so the spool counts every attempt and
+    the dead workers never read as alive afterwards."""
+    campaign, state = run_campaign(
+        make_spec(
+            faults={
+                "rules": [
+                    {"kind": "kill", "point": "mid", "attempts": 1,
+                     "match": "c=quiet"}
+                ]
+            }
+        )
+    )
+    assert state == COMPLETED
+    aggregator = TelemetryAggregator(campaign.spool_dir)
+    aggregator.poll()
+    # four shards done, plus the two c=quiet attempts that died
+    assert (aggregator.tasks, aggregator.errors) == (6, 2)
+    liveness = aggregator.worker_liveness()
+    assert sorted(liveness.values()).count("dead") == 2
+    assert set(liveness.values()) == {"dead", "done"}
+
+
 def test_mid_kill_loses_the_work_but_not_the_campaign():
     campaign, state = run_campaign(
         make_spec(
@@ -237,6 +265,64 @@ def test_dropped_heartbeats_do_not_fail_a_fast_worker():
     # the result file proves the work happened; silence alone is not failure
     assert state == COMPLETED
     assert json.loads(results_bytes(campaign))["totals"]["done"] == 4
+
+
+# ----------------------------------------------------------------------
+# The probe's batched reads
+
+
+def _scalar_probe(shard, attack_options):
+    """The probe as it read before batching: one ``attacker.read`` per
+    address, each drawn from the probe's stream just before its read."""
+    machine = _build_machine(shard)
+    attacker = AttackerView(machine, machine.boot_process())
+    pages = int(attack_options.get("probe_pages", 8))
+    reads = int(attack_options.get("probe_reads", 2000))
+    base = attacker.map_pages(pages)
+    span = pages * attacker.page_size
+    rng = DeterministicRng(shard.seed).fork("campaign-probe")
+    checksum = 0
+    for _ in range(reads):
+        vaddr = base + (rng.randint(span) & ~0x7)
+        checksum = (checksum * 1099511628211 + attacker.read(vaddr) + 1) & (
+            (1 << 64) - 1
+        )
+    return {
+        "workload": "probe",
+        "reads": reads,
+        "checksum": checksum,
+        "flips": Inspector(machine).flip_count(),
+        "cycles": machine.cycles,
+        "uid": attacker.getuid(),
+    }
+
+
+def _probe_outcome(probe, shard, attack_options):
+    try:
+        return probe(shard, attack_options)
+    except TransientFault as fault:
+        return "TransientFault: %s" % fault
+
+
+@pytest.mark.parametrize("tier", ["0", "1"], ids=["reference", "fast"])
+def test_batched_probe_matches_the_scalar_read_loop(tier, monkeypatch):
+    """Every shard of {none, cta} x {none, desktop}: the data, and the
+    poison shard's fault text, equal the scalar read loop's."""
+    monkeypatch.setenv("REPRO_FAST_PATH", tier)
+    spec = make_spec(
+        seed=13,
+        defenses=["none", "cta"],
+        chaos=["none", "desktop"],
+        attack={"workload": "probe", "probe_reads": 2000},
+    )
+    shards = spec.compile_plan().shards
+    batched = [_probe_outcome(execute_shard, shard, spec.attack) for shard in shards]
+    scalar = [_probe_outcome(_scalar_probe, shard, spec.attack) for shard in shards]
+    assert batched == scalar
+    # At this seed one desktop shard faults midway on every attempt.
+    assert [outcome for outcome in batched if isinstance(outcome, str)] == [
+        "TransientFault: injected transient fault at 0x1000000039f8"
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,12 @@ from repro.chaos import (
     ChaosInjector,
     chaos_profile,
 )
+from repro.campaign import CampaignSpec
+from repro.campaign.worker import execute_shard
 from repro.chaos.sources import (
+    SOURCE_TYPES,
     CachePollution,
+    NoiseSource,
     PageTableChurn,
     TimingJitter,
     TLBPollution,
@@ -194,3 +198,86 @@ def test_migration_returns_the_vacated_frame_to_the_allocator():
     new = machine.ptm.migrate_l1pt(space.cr3, region)
     assert new is not None and new != old
     assert freed == [old]
+
+
+# ----------------------------------------------------------------------
+# hook binding: the injector calls only the hooks a source overrides
+
+
+def test_inert_base_hooks_are_never_called(monkeypatch):
+    """A ``desktop`` probe completes with the base class's hooks rigged
+    to raise: ``timing_jitter`` inherits ``on_access`` and the other
+    four inherit ``jitter``, and attach binds none of those."""
+
+    def inert(*args):
+        raise AssertionError("an inert NoiseSource hook was called")
+
+    monkeypatch.setattr(NoiseSource, "on_access", inert)
+    monkeypatch.setattr(NoiseSource, "jitter", inert)
+    spec = CampaignSpec.from_dict(
+        {
+            "name": "hooks",
+            "seed": 7,
+            "machines": ["tiny"],
+            "defenses": ["none"],
+            "chaos": ["desktop"],
+            "shards_per_cell": 1,
+            "attack": {"workload": "probe", "probe_reads": 1500},
+        }
+    )
+    (shard,) = spec.compile_plan().shards
+    assert execute_shard(shard, spec.attack)["reads"] == 1500
+
+
+class _AccessOnly(NoiseSource):
+    def __init__(self, log):
+        self.log = log
+
+    def on_access(self, machine, rng, vaddr):
+        self.log.append((self.name, vaddr))
+
+
+class _JitterOnly(NoiseSource):
+    def __init__(self, log):
+        self.log = log
+
+    def jitter(self, machine, rng):
+        self.log.append((self.name, None))
+        return 0
+
+
+class _FirstAccess(_AccessOnly):
+    name = "a_access"
+
+
+class _MiddleJitter(_JitterOnly):
+    name = "b_jitter"
+
+
+class _LastAccess(_AccessOnly):
+    name = "c_access"
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["reference", "fast"])
+def test_single_hook_sources_run_once_per_access_in_profile_order(fast, monkeypatch):
+    """Sources that override only ``on_access`` or only ``jitter`` are
+    each called once per access, scalar or batched, in profile order."""
+    for source in (_FirstAccess, _MiddleJitter, _LastAccess):
+        monkeypatch.setitem(SOURCE_TYPES, source.name, source)
+    log = []
+    config = ChaosConfig(
+        name="hooks",
+        sources={name: {"log": log} for name in ("c_access", "b_jitter", "a_access")},
+    )
+    machine = Machine(tiny_test_config(seed=4), fast_path=fast)
+    attacker = AttackerView(machine, machine.boot_process())
+    base = attacker.mmap(2, populate=True)
+    machine.attach_chaos(ChaosInjector(config))
+    vaddrs = [base, base + 4096, base + 64]
+    attacker.touch(vaddrs[0])
+    attacker.read_many(vaddrs[1:])
+    assert log == [
+        entry
+        for vaddr in vaddrs
+        for entry in (("a_access", vaddr), ("c_access", vaddr), ("b_jitter", None))
+    ]

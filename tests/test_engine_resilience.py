@@ -284,3 +284,59 @@ def test_worker_death_fails_its_task_at_once(tmp_path):
     # The checkpoint left the dead task out, so --resume reran exactly it.
     assert report["rerun"] == ["b"]
     assert report["result"] == ["a", "b", "c", "d"]
+
+
+# The same death with telemetry on: the parent writes the dead worker's
+# failed task line, which the worker itself never could.
+_DEATH_TELEMETRY_SCRIPT = r"""
+import json, os, signal, sys
+
+from repro.analysis.engine import ExperimentSpec, Task, run_experiment
+from repro.observe.stream import TelemetryAggregator
+
+root = sys.argv[1]
+
+def run_task(task, options):
+    if task.key == "b":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task.key
+
+spec = ExperimentSpec(
+    name="death-telemetry",
+    title="death telemetry",
+    build_tasks=lambda options: [Task(key=key) for key in "abcd"],
+    run_task=run_task,
+    reduce=lambda data, options: data,
+)
+run = run_experiment(spec, jobs=2, keep_going=True, telemetry=root)
+(spool,) = os.listdir(root)
+aggregator = TelemetryAggregator(os.path.join(root, spool))
+aggregator.poll()
+print(json.dumps({
+    "failures": run.failures,
+    "totals": run.telemetry["totals"],
+    "liveness": sorted(aggregator.worker_liveness().values()),
+}))
+"""
+
+
+def test_worker_death_reaches_the_telemetry_spool(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", _DEATH_TELEMETRY_SCRIPT, str(tmp_path / "telemetry")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout)
+    assert report["failures"] == 1
+    assert (report["totals"]["tasks"], report["totals"]["errors"]) == (4, 1)
+    # The dead worker stays dead in `repro dash`; the others finished.
+    assert report["liveness"].count("dead") == 1
+    assert set(report["liveness"]) == {"dead", "done"}

@@ -21,14 +21,14 @@ import pytest
 
 from repro.cache.policies import make_policy
 from repro.cache.setassoc import SetAssociativeCache
-from repro.chaos import ChaosInjector, chaos_profile
+from repro.chaos import ChaosConfig, ChaosInjector, chaos_profile
 from repro.core import PThammerAttack, PThammerConfig
 from repro.core.hammer import DoubleSidedHammer, HammerTarget
 from repro.core.llc_pool import EvictionSet
 from repro.core.spray import PageTableSpray
 from repro.defenses import DEFENSE_PRESETS
 from repro.defenses.anvil import AnvilDetector
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TransientFault
 from repro.kernel.pagetable import MappingError
 from repro.machine import AttackerView, Inspector, Machine
 from repro.machine.addrmap import (
@@ -303,19 +303,116 @@ def test_traced_demand_paging_faults_match_across_tiers():
     _assert_equivalent(*machines, trace=True)
 
 
-def test_access_many_collect_returns_per_access_latencies():
-    """``collect=True`` yields one latency per address, matching what
-    scalar ``timed_read`` calls would have measured."""
-    latencies = []
+def test_access_many_collect_returns_loaded_values():
+    """``collect=True`` yields the qword each load read, on both tiers,
+    with the same cycles as the scalar loads."""
+    outcomes = []
     for fast in (False, True):
         machine = Machine(tiny_test_config(seed=5), fast_path=fast)
         attacker = AttackerView(machine, machine.boot_process())
         base = attacker.mmap(4, populate=True)
-        addrs = [base, base + 4096, base, base + 2 * 4096]
-        latencies.append(machine.access_many(attacker.process, addrs, collect=True))
-    assert latencies[0] == latencies[1]
-    assert len(latencies[1]) == 4
-    assert all(latency > 0 for latency in latencies[1])
+        attacker.write(base + 8, 0xDEAD)
+        attacker.write(base + 2 * 4096, 0xBEEF)
+        addrs = [base + 8, base + 4096, base + 12, base + 2 * 4096]
+        values = machine.access_many(attacker.process, addrs, collect=True)
+        outcomes.append((values, machine.cycles, _metrics(machine)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][0] == [0xDEAD, 0, 0xDEAD, 0xBEEF]
+
+
+# ----------------------------------------------------------------------
+# read_many: batched value reads
+
+
+def _scalar_reads(attacker, vaddrs):
+    return [attacker.read(vaddr) for vaddr in vaddrs]
+
+
+def _batched_reads(attacker, vaddrs):
+    return attacker.read_many(vaddrs)
+
+
+def _value_reads(fast, read, chaos=None, observed=False):
+    """``read`` of 600 words of a demand-paged region whose first half
+    was written: the values (or the fault that ended them) and
+    everything the machine shows afterwards."""
+    machine = Machine(tiny_test_config(seed=5), fast_path=fast)
+    if observed:
+        machine.trace.enable()
+        machine.attach_monitor(_RecordingMonitor())
+    attacker = AttackerView(machine, machine.boot_process())
+    base = attacker.mmap(16, populate=False)
+    for page in range(8):
+        attacker.write(base + page * PAGE_SIZE + 8 * page, 0x1111 * (page + 1))
+    if chaos is not None:
+        machine.attach_chaos(ChaosInjector(chaos))
+    rng = DeterministicRng(5).fork("reads")
+    vaddrs = [
+        base + page * PAGE_SIZE + 8 * page if rng.chance(0.5)
+        else base + (rng.randint(16 * PAGE_SIZE) & ~7)
+        for page in (rng.randint(16) for _ in range(600))
+    ]
+    try:
+        values = read(attacker, vaddrs)
+    except TransientFault as fault:
+        values = (type(fault).__name__, str(fault))
+    return {
+        "values": values,
+        "cycles": machine.cycles,
+        "metrics": _metrics(machine),
+        "events": _events(machine),
+        "monitor": machine.monitor.log if observed else None,
+        "state": _state_without_addrmap(machine),
+    }
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["quiet", "observed"])
+def test_read_many_matches_scalar_reads_on_both_tiers(observed):
+    """``read_many`` returns what a scalar ``read`` loop returns, with
+    the same cycles, metrics and state, on both tiers: quiet, and
+    traced under ``desktop`` chaos and a recording DRAM monitor."""
+    chaos = chaos_profile("desktop") if observed else None
+    outcomes = [
+        _value_reads(fast, read, chaos=chaos, observed=observed)
+        for fast in (False, True)
+        for read in (_scalar_reads, _batched_reads)
+    ]
+    for outcome in outcomes[1:]:
+        assert outcome == outcomes[0]
+    values = outcomes[0]["values"]
+    # Written words and zero pages both came back, the unwritten half
+    # of the region faulted in on the reads, and observation was on.
+    assert len(values) == 600 and 0 in values
+    assert {0x1111 * (page + 1) for page in range(8)} <= set(values)
+    assert json.loads(outcomes[0]["metrics"])["counters"]["page_faults"] >= 16
+    if observed:
+        assert outcomes[0]["events"] and outcomes[0]["monitor"]
+        counters = json.loads(outcomes[0]["metrics"])["counters"]
+        assert counters["chaos.jitter.cycles"] > 0
+
+
+def test_read_many_aborted_by_a_transient_fault_leaves_equal_tiers():
+    """A chaos fault midway through a batch: every tier and loop raises
+    it at the same read and stops in the same state."""
+    flaky = ChaosConfig(
+        name="flaky",
+        seed=7,
+        sources={
+            "transient_faults": {"probability": 0.002},
+            "timing_jitter": {"rate": 0.2},
+        },
+    )
+    outcomes = [
+        _value_reads(fast, read, chaos=flaky, observed=True)
+        for fast in (False, True)
+        for read in (_scalar_reads, _batched_reads)
+    ]
+    for outcome in outcomes[1:]:
+        assert outcome == outcomes[0]
+    kind, _ = outcomes[0]["values"]
+    assert kind == "TransientFault"
+    loads = json.loads(outcomes[0]["metrics"])["counters"]["mem_uops_retired.all_loads"]
+    assert 8 + 50 < loads < 8 + 550  # the 8 writes, then part of the batch
 
 
 # ----------------------------------------------------------------------

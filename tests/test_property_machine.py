@@ -231,6 +231,9 @@ class ReferenceVsFast(RuleBasedStateMachine):
         collect=st.booleans(),
     )
     def touch_many(self, region, offsets, repeat, collect):
+        """A batch; with ``collect`` it returns the loaded values, which
+        ``_both`` compares.  Per-access latencies show in the ``ACCESS``
+        events when the drawn observer is the tracer."""
         vaddrs = self._addresses(region, offsets) * repeat
         self._both(
             lambda machine, attacker: machine.access_many(
