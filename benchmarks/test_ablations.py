@@ -17,7 +17,7 @@
 from conftest import emit
 
 from repro.analysis import ExperimentContext
-from repro.core.hammer import DoubleSidedHammer, HammerTarget
+from repro.core.pair_finding import CandidatePair
 from repro.core.pthammer import PThammerAttack, PThammerConfig, PThammerReport
 from repro.core.tlb_eviction import TLBEvictionSetBuilder, tlb_miss_rate_by_size
 from repro.machine.configs import tiny_test_config
@@ -33,19 +33,6 @@ def prepared_attack(config, **attack_kw):
     attack.prepare(report)
     pairs, llc_sets = attack.find_pairs(report)
     return context, attack, pairs, llc_sets
-
-
-def hammer_for(context, attack, pair, llc_sets):
-    size = attack.config.tlb_eviction_size
-    return DoubleSidedHammer(
-        context.attacker,
-        HammerTarget(
-            pair.va_a, attack.tlb_builder.build(pair.va_a, size), llc_sets[pair.va_a]
-        ),
-        HammerTarget(
-            pair.va_b, attack.tlb_builder.build(pair.va_b, size), llc_sets[pair.va_b]
-        ),
-    )
 
 
 def test_ablation_true_lru_tlb_needs_only_associativity(once, benchmark):
@@ -73,7 +60,7 @@ def test_ablation_true_lru_tlb_needs_only_associativity(once, benchmark):
 def test_ablation_cold_walk_is_slower(once, benchmark):
     def run():
         context, attack, pairs, llc_sets = prepared_attack(tiny_test_config(seed=2))
-        hammer = hammer_for(context, attack, pairs[0], llc_sets)
+        hammer = attack.hammer_for(pairs[0], llc_sets)
         hammer.run(5)
         warm = sum(hammer.run(30)) / 30
         # Naive variant: flush the paging-structure caches every round,
@@ -98,7 +85,7 @@ def test_ablation_single_vs_double_sided(once, benchmark):
         machine = context.machine
         window = machine.config.dram.refresh_interval_cycles
         pair = pairs[0]
-        hammer = hammer_for(context, attack, pair, llc_sets)
+        hammer = attack.hammer_for(pair, llc_sets)
         # Double-sided budget.
         before = machine.dram.flip_count()
         hammer.run_for_cycles(2 * window)
@@ -106,8 +93,8 @@ def test_ablation_single_vs_double_sided(once, benchmark):
         # Single-sided: hammer only one aggressor for the same budget,
         # alternating with a far-away row to clear the row buffer.
         other = pairs[-1]
-        single = DoubleSidedHammer(
-            context.attacker, hammer.target_a, hammer_for(context, attack, other, llc_sets).target_b
+        single = attack.hammer_for(
+            CandidatePair(pair.slot_a, other.slot_b, pair.va_a, other.va_b), llc_sets
         )
         before = machine.dram.flip_count()
         single.run_for_cycles(2 * window)
@@ -127,16 +114,12 @@ def test_ablation_undersized_llc_set_stops_hammering(once, benchmark):
         context, attack, pairs, llc_sets = prepared_attack(tiny_test_config(seed=2))
         machine = context.machine
         pair = pairs[0]
-        full = hammer_for(context, attack, pair, llc_sets)
+        full = attack.hammer_for(pair, llc_sets)
         import copy
 
         weak_set = copy.copy(llc_sets[pair.va_a])
         weak_set.lines = weak_set.lines[:4]  # far below associativity
-        weak = DoubleSidedHammer(
-            context.attacker,
-            HammerTarget(pair.va_a, full.target_a.tlb_set, weak_set),
-            HammerTarget(pair.va_b, full.target_b.tlb_set, weak_set),
-        )
+        weak = attack.hammer_for(pair, {pair.va_a: weak_set, pair.va_b: weak_set})
         window = machine.config.dram.refresh_interval_cycles
         before = machine.dram.flip_count()
         weak.run_for_cycles(2 * window)

@@ -13,56 +13,19 @@ The paper's discussion, reproduced as a matrix:
 
 from conftest import emit
 
-from repro.core import PThammerAttack, PThammerConfig, RowhammerTestTool, UarchFacts
-from repro.defenses import AnvilDetector
-from repro.machine import AttackerView, Inspector, Machine
-from repro.machine.configs import tiny_test_config
-
-
-def pthammer_flips(monitor_factory=None, trr=0):
-    config = tiny_test_config(seed=1)
-    config.dram.trr_threshold = trr
-    machine = Machine(config)
-    attacker = AttackerView(machine, machine.boot_process())
-    if monitor_factory is not None:
-        machine.attach_monitor(monitor_factory(machine))
-    PThammerAttack(
-        attacker, PThammerConfig(spray_slots=256, pair_sample=12, max_pairs=6)
-    ).run()
-    return Inspector(machine).flip_count(), machine
-
-
-def explicit_flips(monitor_factory=None):
-    machine = Machine(tiny_test_config(seed=4))
-    attacker = AttackerView(machine, machine.boot_process())
-    if monitor_factory is not None:
-        machine.attach_monitor(monitor_factory(machine))
-    tool = RowhammerTestTool(
-        attacker, Inspector(machine), UarchFacts.from_config(machine.config), buffer_pages=256
-    )
-    tool.time_to_first_flip(0, 6 * machine.config.dram.refresh_interval_cycles)
-    return Inspector(machine).flip_count(), machine
+from repro.analysis import mitigation_matrix
 
 
 def test_mitigation_matrix(once, benchmark):
-    def run():
-        rows = {}
-        rows["explicit/none"] = explicit_flips()[0]
-        rows["explicit/anvil"] = explicit_flips(lambda m: AnvilDetector(m))[0]
-        rows["pthammer/none"] = pthammer_flips()[0]
-        rows["pthammer/anvil"] = pthammer_flips(lambda m: AnvilDetector(m))[0]
-        rows["pthammer/anvil-extended"] = pthammer_flips(
-            lambda m: AnvilDetector(m, watch_walks=True)
-        )[0]
-        rows["pthammer/trr"] = pthammer_flips(trr=150)[0]
-        return rows
-
-    rows = once(run)
+    rows = {
+        "%s/%s" % (attack, mitigation): flips
+        for attack, mitigation, flips in once(mitigation_matrix)
+    }
     emit("Section V mitigation matrix (ground-truth flips): %r" % rows)
     assert rows["explicit/none"] > 0
-    assert rows["explicit/anvil"] == 0  # stock ANVIL stops explicit hammer
+    assert rows["explicit/ANVIL (loads)"] == 0  # stock ANVIL stops explicit hammer
     assert rows["pthammer/none"] > 0
-    assert rows["pthammer/anvil"] > 0  # ... but is blind to PThammer
-    assert rows["pthammer/anvil-extended"] == 0  # the paper's extension works
-    assert rows["pthammer/trr"] == 0  # counter-based hardware stops it too
+    assert rows["pthammer/ANVIL (loads)"] > 0  # ... but is blind to PThammer
+    assert rows["pthammer/ANVIL (loads+walks)"] == 0  # the paper's extension works
+    assert rows["pthammer/TRR counter"] == 0  # counter-based hardware stops it too
     benchmark.extra_info.update(rows)

@@ -4,8 +4,9 @@ Walks the two-engine design from docs/PERFORMANCE.md:
 
 1. build two machines from the *same seed* — one on the reference
    engine (``fast_path=False``), one on the fast engine (the
-   default) — and run identical double-sided hammer rounds through
-   ``AttackerView.touch_many`` on both;
+   default) — and run identical double-sided hammer rounds (the
+   compiled ``double_sided`` pattern, one ``AttackerView.touch_many``
+   batch per round) on both;
 2. prove equivalence — virtual cycles, metrics snapshots, and DRAM
    flip counts must match exactly (the fast engine is required to be
    behaviourally invisible);
@@ -22,18 +23,19 @@ Run time is a few seconds at tiny scale:
 import json
 import time
 
-from repro.core.hammer import DoubleSidedHammer, HammerTarget
+from repro.core.hammer import HammerTarget, PatternHammer
 from repro.core.llc_pool import EvictionSet
 from repro.machine import AttackerView, Machine
 from repro.machine.addrmap import ADDRMAP_MISS
 from repro.machine.configs import tiny_test_config
+from repro.patterns import compile_pattern, get
 
 ROUNDS = 400
 SEED = 11
 
 
 def build_hammer(machine, attacker):
-    """Two hammer targets with real TLB and LLC eviction sets."""
+    """double_sided over two targets with real TLB and LLC eviction sets."""
     sets = machine.config.tlb.l1d_sets
     base = attacker.mmap(12 * sets + 40, populate=True)
     targets = []
@@ -43,7 +45,7 @@ def build_hammer(machine, attacker):
         lines = [base + (12 * sets + 13 * t + i) * 4096 + 17 * 64 for i in range(13)]
         va = base + (12 * sets + 26 + t) * 4096
         targets.append(HammerTarget(va, tlb_set, EvictionSet(lines, 17)))
-    return DoubleSidedHammer(attacker, targets[0], targets[1])
+    return PatternHammer(attacker, compile_pattern(get("double_sided"), targets))
 
 
 def run_engine(fast):

@@ -3,69 +3,23 @@
 Runs explicit hammering and PThammer against three mitigations —
 stock ANVIL (load-address sampling), the paper's proposed extended
 ANVIL (also watching page-table-walk fetches), and an in-controller
-TRR/TWiCe-style counter — and prints ground-truth flip counts.
+TRR/TWiCe-style counter — and prints ground-truth flip counts.  The
+rows are the ones ``repro mitigations`` prints
+(:func:`repro.analysis.mitigation_matrix`).
 
     python examples/mitigation_matrix.py
 """
 
-from repro import AttackerView, Inspector, Machine, tiny_test_config
-from repro.analysis import render_table
-from repro.core import PThammerAttack, PThammerConfig, RowhammerTestTool, UarchFacts
-from repro.defenses import AnvilDetector
-
-
-def run_explicit(monitor_factory=None):
-    machine = Machine(tiny_test_config(seed=4))
-    attacker = AttackerView(machine, machine.boot_process())
-    if monitor_factory:
-        machine.attach_monitor(monitor_factory(machine))
-    tool = RowhammerTestTool(
-        attacker, Inspector(machine), UarchFacts.from_config(machine.config),
-        buffer_pages=256,
-    )
-    tool.time_to_first_flip(0, 6 * machine.config.dram.refresh_interval_cycles)
-    return Inspector(machine).flip_count(), machine
-
-
-def run_pthammer(monitor_factory=None, trr=0):
-    config = tiny_test_config(seed=1)
-    config.dram.trr_threshold = trr
-    machine = Machine(config)
-    attacker = AttackerView(machine, machine.boot_process())
-    if monitor_factory:
-        machine.attach_monitor(monitor_factory(machine))
-    PThammerAttack(
-        attacker, PThammerConfig(spray_slots=256, pair_sample=12, max_pairs=6)
-    ).run()
-    return Inspector(machine).flip_count(), machine
+from repro.analysis import mitigation_matrix, render_table
 
 
 def main():
-    rows = []
-    print("running explicit hammer, no mitigation ...", flush=True)
-    flips, _ = run_explicit()
-    rows.append(("explicit (clflush)", "none", flips))
-    print("running explicit hammer vs stock ANVIL ...", flush=True)
-    flips, machine = run_explicit(lambda m: AnvilDetector(m))
-    rows.append(("explicit (clflush)", "ANVIL (loads)", flips))
-    print("running PThammer, no mitigation ...", flush=True)
-    flips, _ = run_pthammer()
-    rows.append(("PThammer", "none", flips))
-    print("running PThammer vs stock ANVIL ...", flush=True)
-    flips, _ = run_pthammer(lambda m: AnvilDetector(m))
-    rows.append(("PThammer", "ANVIL (loads)", flips))
-    print("running PThammer vs extended ANVIL ...", flush=True)
-    flips, _ = run_pthammer(lambda m: AnvilDetector(m, watch_walks=True))
-    rows.append(("PThammer", "ANVIL (loads+walks)", flips))
-    print("running PThammer vs TRR ...", flush=True)
-    flips, machine = run_pthammer(trr=150)
-    rows.append(("PThammer", "TRR counter", flips))
-
+    print("running two explicit-hammer and four PThammer attacks ...")
     print()
     print(
         render_table(
             ["Attack", "Mitigation", "Ground-truth flips"],
-            rows,
+            mitigation_matrix(),
             title="Section V: mitigation matrix",
         )
     )

@@ -4,7 +4,7 @@ Walks the pattern pipeline from docs/PATTERNS.md:
 
 1. write a pattern — parse DSL text into a validated AST, print its
    canonical form and the op stream it unrolls to;
-2. compile it — lower the ops to coalesced ``touch_many`` batches
+2. compile it — lower the ops to merged ``touch_many`` batches
    against real hammer targets, and show the step listing
    ``repro patterns show`` prints;
 3. trust it — run the compiled program and the scalar reference

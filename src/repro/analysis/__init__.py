@@ -68,6 +68,7 @@ from repro.analysis.profile import (
     write_chrome_trace,
     write_trace_jsonl,
 )
+from repro.analysis.mitigations import mitigation_matrix
 from repro.analysis.report import render_bar, render_series, render_table
 from repro.analysis.verification import (
     eviction_set_congruence,
@@ -136,6 +137,7 @@ __all__ = [
     "render_bar",
     "render_series",
     "is_double_sided_pair",
+    "mitigation_matrix",
     "pair_placement",
     "render_table",
     "spray_contiguity",

@@ -493,54 +493,41 @@ def _sampled_trace_bench():
     }
 
 
-def _hammer_loop_workload(machine, attacker):
-    """Real hammer rounds: per-target TLB sweep + LLC sweep + probe touch."""
-    from repro.core.hammer import DoubleSidedHammer, HammerTarget
-    from repro.core.llc_pool import EvictionSet
+def _pattern_workload(name):
+    """400 rounds of the registered pattern ``name`` over two targets.
 
-    sets = machine.config.tlb.l1d_sets
-    tlb_span = 12 * sets  # pages holding both targets' TLB eviction sets
-    base = attacker.mmap(tlb_span + 40, populate=True)
-    targets = []
-    for t in (0, 1):
-        # 12 pages congruent in one L1-dTLB set (VPN stride = set count),
-        # touched mid-page like TLBEvictionSetBuilder does.
-        tlb_set = [base + (i * sets + t) * 4096 + 2048 for i in range(12)]
-        lines = [
-            base + (tlb_span + 13 * t + i) * 4096 + 17 * 64 for i in range(13)
-        ]
-        va = base + (tlb_span + 26 + t) * 4096
-        targets.append(HammerTarget(va, tlb_set, EvictionSet(lines, 17)))
-    hammer = DoubleSidedHammer(attacker, targets[0], targets[1])
-    return lambda: hammer.run(rounds=400)
-
-
-def _pattern_loop_workload(machine, attacker):
-    """Compiled-pattern rounds: the DSL pipeline's batched touches.
-
-    Same target construction as ``_hammer_loop_workload``, but the
-    rounds run through ``repro.patterns`` — the ``delay_slotted``
-    built-in, so the compiled program mixes coalesced ``touch_many``
-    batches with ``nop`` delay slots.
+    Per target: 12 pages congruent in one L1-dTLB set (VPN stride =
+    set count), touched mid-page like TLBEvictionSetBuilder does, 13
+    LLC lines, and the probe page.
     """
-    from repro.core.llc_pool import EvictionSet
-    from repro.core.hammer import HammerTarget
-    from repro.patterns import PatternHammer, compile_pattern, get
 
-    sets = machine.config.tlb.l1d_sets
-    tlb_span = 12 * sets
-    base = attacker.mmap(tlb_span + 40, populate=True)
-    targets = []
-    for t in (0, 1):
-        tlb_set = [base + (i * sets + t) * 4096 + 2048 for i in range(12)]
-        lines = [
-            base + (tlb_span + 13 * t + i) * 4096 + 17 * 64 for i in range(13)
-        ]
-        va = base + (tlb_span + 26 + t) * 4096
-        targets.append(HammerTarget(va, tlb_set, EvictionSet(lines, 17)))
-    compiled = compile_pattern(get("delay_slotted"), targets)
-    hammer = PatternHammer(attacker, compiled)
-    return lambda: hammer.run(rounds=400)
+    def workload(machine, attacker):
+        from repro.core.hammer import HammerTarget, PatternHammer
+        from repro.core.llc_pool import EvictionSet
+        from repro.patterns import compile_pattern, get
+
+        sets = machine.config.tlb.l1d_sets
+        tlb_span = 12 * sets  # pages holding both targets' TLB eviction sets
+        base = attacker.mmap(tlb_span + 40, populate=True)
+        targets = []
+        for t in (0, 1):
+            tlb_set = [base + (i * sets + t) * 4096 + 2048 for i in range(12)]
+            lines = [
+                base + (tlb_span + 13 * t + i) * 4096 + 17 * 64 for i in range(13)
+            ]
+            va = base + (tlb_span + 26 + t) * 4096
+            targets.append(HammerTarget(va, tlb_set, EvictionSet(lines, 17)))
+        hammer = PatternHammer(attacker, compile_pattern(get(name), targets))
+        return lambda: hammer.run(rounds=400)
+
+    return workload
+
+
+#: Real hammer rounds: PThammer's double-sided round.
+_hammer_loop_workload = _pattern_workload("double_sided")
+#: Compiled-pattern rounds whose program mixes merged ``touch_many``
+#: batches with ``nop`` delay slots.
+_pattern_loop_workload = _pattern_workload("delay_slotted")
 
 
 def _eviction_sweep_workload(machine, attacker):

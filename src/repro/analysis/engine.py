@@ -787,14 +787,19 @@ def run_experiment(
         else:
             for task in pending:
                 _record(handler(task))
+    except BaseException:
+        if session is not None:
+            # Seal the spool, so `repro dash` shows the run ended.
+            session.finish(completed=False)
+        raise
     finally:
         if warm_start:
             warmstart.deactivate()
         if writer is not None:
             writer.close()
         if session is not None:
-            # Disarm the parent's emitters even on an aborting
-            # exception; ``session.finish`` below is a no-op repeat.
+            # Disarm the parent's emitters before the reduce;
+            # ``session.finish`` below is a no-op repeat.
             stream.deactivate_emitters()
 
     completed = len(outcomes_by_key) == total and failures == 0

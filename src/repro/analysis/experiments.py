@@ -24,7 +24,6 @@ from repro.analysis.engine import ExperimentSpec, Task, register_experiment
 from repro.analysis.report import render_series, render_table
 from repro.analysis.result import ExperimentResult
 from repro.core.explicit import RowhammerTestTool
-from repro.core.hammer import DoubleSidedHammer, HammerTarget
 from repro.core.llc_eviction import selection_false_positive_rate
 from repro.core.llc_offline import llc_miss_rate_by_size
 from repro.core.pthammer import PThammerAttack, PThammerConfig, PThammerReport
@@ -889,14 +888,7 @@ def _figure6_run(task, options):
     pairs, llc_sets = attack.find_pairs(report)
     if not pairs:
         raise RuntimeError("no same-bank pairs found for Figure 6")
-    pair = pairs[0]
-    size = attack.config.tlb_eviction_size
-    hammer = DoubleSidedHammer(
-        context.attacker,
-        HammerTarget(pair.va_a, attack.tlb_builder.build(pair.va_a, size), llc_sets[pair.va_a]),
-        HammerTarget(pair.va_b, attack.tlb_builder.build(pair.va_b, size), llc_sets[pair.va_b]),
-    )
-    costs = hammer.run(options["rounds"])
+    costs = attack.hammer_for(pairs[0], llc_sets).run(options["rounds"])
     return {
         "machine": context.machine.config.name,
         "page_setting": "super" if superpages else "regular",

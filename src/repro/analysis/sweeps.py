@@ -13,7 +13,6 @@ worker processes and checkpoint/resume like a registered experiment —
 
 from repro.analysis.engine import ExperimentSpec, Task, run_experiment
 from repro.analysis.experiments import ExperimentContext, _section_4d_data
-from repro.core.hammer import DoubleSidedHammer, HammerTarget
 from repro.core.pthammer import PThammerAttack, PThammerConfig, PThammerReport
 from repro.machine.configs import tiny_test_config
 
@@ -89,18 +88,9 @@ def flips_vs_threshold(thresholds=(600, 1000, 1600, 2600), seed=2, jobs=1):
         pairs, llc_sets = attack.find_pairs(report)
         if not pairs:
             return 0
-        pair = pairs[0]
-        size = attack.config.tlb_eviction_size
-        hammer = DoubleSidedHammer(
-            context.attacker,
-            HammerTarget(
-                pair.va_a, attack.tlb_builder.build(pair.va_a, size), llc_sets[pair.va_a]
-            ),
-            HammerTarget(
-                pair.va_b, attack.tlb_builder.build(pair.va_b, size), llc_sets[pair.va_b]
-            ),
+        attack.hammer_for(pairs[0], llc_sets).run_for_cycles(
+            2 * config.dram.refresh_interval_cycles
         )
-        hammer.run_for_cycles(2 * config.dram.refresh_interval_cycles)
         return context.machine.dram.flip_count()
 
     return sweep_parameter(make_config, thresholds, metric, jobs=jobs)

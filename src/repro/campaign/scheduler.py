@@ -136,12 +136,3 @@ class Scheduler:
             self.states[shard.key].status in (DONE, QUARANTINED)
             for shard in cell.shards
         )
-
-    def next_wakeup(self, now):
-        """Soonest ``not_before`` still in the future (for idle sleeps)."""
-        gates = [
-            s.not_before
-            for s in self.states.values()
-            if s.status == FAILED and s.not_before > now
-        ]
-        return min(gates) if gates else None

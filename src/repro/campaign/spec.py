@@ -38,7 +38,8 @@ SPEC_VERSION = 1
 #: the self-healing pipeline).
 NO_CHAOS = "none"
 
-#: The pattern-axis value meaning "the hard-coded double-sided loop".
+#: The pattern-axis value meaning "the attack's default pattern"
+#: (``double_sided``).
 NO_PATTERN = "-"
 
 #: Shard workloads: the full escalation attack, or a lightweight

@@ -38,14 +38,6 @@ def _require_positive_int(name, value, source):
     return int(value)
 
 
-def _require_non_negative_int(name, value, source):
-    if int(value) != value or value < 0:
-        raise ConfigError(
-            "%s: %s must be a non-negative integer, got %r" % (source, name, value)
-        )
-    return int(value)
-
-
 class NoiseSource:
     """Base class: parameter storage plus inert default hooks."""
 

@@ -409,7 +409,7 @@ def build_parser():
         choices=pattern_names(),
         default=None,
         help="hammer with a registered pattern (see `repro patterns list`) "
-        "instead of the hard-coded double-sided loop",
+        "instead of the default double_sided",
     )
     attack.add_argument(
         "--no-record",
@@ -1153,46 +1153,10 @@ def _cmd_validate(args):
 
 def _cmd_mitigations(args):
     """The Section-V mitigation matrix (ANVIL/TRR)."""
-    from repro.core import RowhammerTestTool, UarchFacts
-    from repro.defenses import AnvilDetector
+    from repro.analysis import mitigation_matrix, render_table
 
-    def pthammer(monitor=None, trr=0):
-        config = tiny_test_config(seed=1)
-        config.dram.trr_threshold = trr
-        machine = Machine(config)
-        attacker = AttackerView(machine, machine.boot_process())
-        if monitor:
-            machine.attach_monitor(monitor(machine))
-        PThammerAttack(
-            attacker, PThammerConfig(spray_slots=256, pair_sample=12, max_pairs=6)
-        ).run()
-        return Inspector(machine).flip_count()
-
-    def explicit(monitor=None):
-        machine = Machine(tiny_test_config(seed=4))
-        attacker = AttackerView(machine, machine.boot_process())
-        if monitor:
-            machine.attach_monitor(monitor(machine))
-        tool = RowhammerTestTool(
-            attacker, Inspector(machine),
-            UarchFacts.from_config(machine.config), buffer_pages=256,
-        )
-        tool.time_to_first_flip(0, 6 * machine.config.dram.refresh_interval_cycles)
-        return Inspector(machine).flip_count()
-
-    rows = [
-        ("explicit", "none", explicit()),
-        ("explicit", "ANVIL (loads)", explicit(lambda m: AnvilDetector(m))),
-        ("pthammer", "none", pthammer()),
-        ("pthammer", "ANVIL (loads)", pthammer(lambda m: AnvilDetector(m))),
-        ("pthammer", "ANVIL (loads+walks)",
-         pthammer(lambda m: AnvilDetector(m, watch_walks=True))),
-        ("pthammer", "TRR counter", pthammer(trr=150)),
-    ]
-    from repro.analysis import render_table
-
-    print(render_table(["attack", "mitigation", "ground-truth flips"], rows,
-                       title="Section V mitigations"))
+    print(render_table(["attack", "mitigation", "ground-truth flips"],
+                       mitigation_matrix(), title="Section V mitigations"))
     return 0
 
 

@@ -2,7 +2,7 @@
 
 from repro.core.drama import reverse_engineer_row_span
 from repro.core.explicit import ExplicitHammer, RowhammerTestTool, syscall_hammer
-from repro.core.hammer import DoubleSidedHammer, HammerTarget, SingleSidedHammer
+from repro.core.hammer import HammerTarget, PatternHammer
 from repro.core.llc_eviction import (
     l1pte_line_offset,
     select_llc_eviction_set,
@@ -51,7 +51,6 @@ __all__ = [
     "CAPTURE_JUNK",
     "CAPTURE_L1PT",
     "CandidatePair",
-    "DoubleSidedHammer",
     "EscalationOutcome",
     "EvictionSet",
     "ExplicitHammer",
@@ -66,12 +65,12 @@ __all__ = [
     "PageTableSpray",
     "PairFinder",
     "PairRecord",
+    "PatternHammer",
     "PhaseBudget",
     "PrivilegeEscalator",
     "RECOVERABLE",
     "RetryPolicy",
     "RowhammerTestTool",
-    "SingleSidedHammer",
     "SprayMismatch",
     "TLBEvictionSetBuilder",
     "UarchFacts",

@@ -1,6 +1,6 @@
-"""The implicit double-sided hammer loop (Sections III-B, IV-D, IV-E).
+"""The implicit hammer (Sections III-B, IV-D, IV-E).
 
-One hammer round, per target of the pair:
+One hammer of a target (:func:`hammer_batch`):
 
 1. sweep the target's TLB eviction set (drop the translation),
 2. sweep the target's LLC eviction set (drop the cached L1PTE line),
@@ -8,11 +8,13 @@ One hammer round, per target of the pair:
    paging-structure cache, misses the data caches on the L1PTE, and
    fetches it from DRAM: one implicit activation of a kernel row.
 
-The two targets' L1PTEs sit in the same bank two rows apart, so their
-alternating activations row-conflict (clearing the row buffer — explicit
-hammer's requirement 2 for free) and double-side the victim row between
-them.  ``nop_padding`` inflates the per-round cost for the Figure-5
-sweep.
+PThammer's round hammers each side of a pair once — the
+``double_sided`` built-in of :mod:`repro.patterns`.  The two targets'
+L1PTEs sit in the same bank two rows apart, so their alternating
+activations row-conflict (clearing the row buffer — explicit hammer's
+requirement 2 for free) and double-side the victim row between them.
+:class:`PatternHammer` runs any compiled pattern round after round;
+``nop_padding`` inflates the per-round cost for the Figure-5 sweep.
 """
 
 from repro.core.layout import PROBE_DATA_OFFSET
@@ -22,7 +24,7 @@ HAMMER_ROUND_SPAN = "hammer-round"
 
 
 class HammerTarget:
-    """One side of a double-sided pair with its eviction sets."""
+    """One aggressor with its eviction sets."""
 
     __slots__ = ("va", "tlb_set", "llc_set")
 
@@ -32,22 +34,35 @@ class HammerTarget:
         self.llc_set = llc_set
 
 
-class DoubleSidedHammer:
+def hammer_batch(target, llc_sweeps=1):
+    """The implicit-activation address batch for one hammer of a target.
+
+    TLB-eviction sweep, ``llc_sweeps`` LLC-eviction sweep(s), then the
+    probe touch whose page-table walk performs the kernel-row
+    activation.  ``llc_sweeps`` is 1 on the paper's inclusive LLCs; 2
+    is needed on non-inclusive LLCs, where the first pass only demotes
+    the L1PTE line from L2 into the victim LLC (Section V).
+    """
+    addrs = list(target.tlb_set)
+    for _ in range(llc_sweeps):
+        addrs.extend(target.llc_set.lines)
+    addrs.append(target.va + PROBE_DATA_OFFSET)
+    return addrs
+
+
+class PatternHammer:
     """Runs hammer rounds and records per-round cycle costs.
 
-    ``llc_sweeps`` repeats each LLC eviction sweep; 1 suffices on the
-    paper's inclusive machines, 2 is needed on non-inclusive LLCs where
-    the first pass only demotes the L1PTE line from L2 into the victim
-    LLC (Section V).
+    One round executes ``executable`` once — a
+    :class:`~repro.patterns.CompiledPattern` normally, a
+    :class:`~repro.patterns.PatternInterpreter` when running the
+    oracle — bracketed by ``rdtsc`` and followed by the optional
+    ``nop_padding``.
     """
 
-    def __init__(
-        self, attacker, target_a, target_b, llc_sweeps=1, trace=None, guard=None
-    ):
+    def __init__(self, attacker, executable, trace=None, guard=None):
         self.attacker = attacker
-        self.target_a = target_a
-        self.target_b = target_b
-        self.llc_sweeps = llc_sweeps
+        self.executable = executable
         #: Optional trace bus; when set, every round is recorded as a
         #: ``hammer-round`` span (PThammerAttack passes the machine's).
         self.trace = trace
@@ -58,19 +73,10 @@ class DoubleSidedHammer:
         self._guard = guard if guard is not None else lambda operation: operation()
 
     def round(self, nop_padding=0):
-        """One double-sided iteration; returns its cost in cycles."""
+        """One pattern instance; returns its cost in cycles."""
         attacker = self.attacker
-        touch_many = attacker.touch_many
         start = attacker.rdtsc()
-        for target in (self.target_a, self.target_b):
-            # One batch per target: TLB sweep, LLC sweep(s), then the
-            # touch that triggers the implicit kernel-row activation —
-            # same access order as the scalar loops this replaces.
-            addrs = list(target.tlb_set)
-            for _ in range(self.llc_sweeps):
-                addrs.extend(target.llc_set.lines)
-            addrs.append(target.va + PROBE_DATA_OFFSET)
-            touch_many(addrs)
+        self.executable.execute(attacker)
         if nop_padding:
             attacker.nop(nop_padding)
         end = attacker.rdtsc()
@@ -94,21 +100,6 @@ class DoubleSidedHammer:
         return costs
 
 
-class SingleSidedHammer(DoubleSidedHammer):
-    """Degraded fallback: implicit single-sided hammering of one target.
-
-    Used when pair construction finds no verified same-bank pair (or
-    the verified pairs decayed under system noise): both halves of the
-    round aim at the *same* target, so each round performs two implicit
-    activations of that one kernel row — the eviction sweeps between
-    the touches guarantee the second touch misses TLB and caches again.
-    No row-conflict or victim-sandwich guarantee, so flips are rarer
-    (the paper's double-sided construction remains strictly better),
-    but disturbance still accrues instead of the attack aborting.
-    """
-
-    def __init__(self, attacker, target, llc_sweeps=1, trace=None, guard=None):
-        super().__init__(
-            attacker, target, target, llc_sweeps=llc_sweeps, trace=trace,
-            guard=guard,
-        )
+#: Kept only for the benchmark tracer (bench/trace.py), which wraps
+#: this name's ``run_for_cycles`` as the attack's hammer phase.
+DoubleSidedHammer = PatternHammer

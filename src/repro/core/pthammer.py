@@ -22,12 +22,7 @@ the same pipeline against the reference engine.
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.hammer import (
-    HAMMER_ROUND_SPAN,
-    DoubleSidedHammer,
-    HammerTarget,
-    SingleSidedHammer,
-)
+from repro.core.hammer import HAMMER_ROUND_SPAN, HammerTarget, PatternHammer
 from repro.core.llc_eviction import (
     l1pte_line_offset,
     select_llc_eviction_set,
@@ -51,7 +46,7 @@ from repro.observe import (
     RECOVERY_RESUME,
     TraceBus,
 )
-from repro.patterns import PatternHammer, compile_pattern
+from repro.patterns import compile_pattern
 from repro.patterns import get as get_pattern
 from repro.utils.stats import RunningStats
 
@@ -121,12 +116,10 @@ class PThammerConfig:
     #: no congruent groups (noise drowning the conflict tests).
     allow_single_sided: bool = True
     set_size_growth: int = 2
-    #: Registered hammer-pattern name (repro.patterns) to compile for
-    #: the hammer/check loop.  None keeps the hard-coded double-sided
-    #: loop (``single_sided`` when only one target survives); a name
-    #: routes every burst through the pattern compiler — aggressor
-    #: roles bind to the verified pair round-robin, so every pattern
-    #: degrades to single-target hammering exactly like the default.
+    #: Registered hammer-pattern name (repro.patterns) compiled for
+    #: every hammer burst; None means ``double_sided``, the paper's
+    #: round.  Aggressor roles bind to the pair's targets round-robin,
+    #: so on a single-sided pair every role aims at the lone target.
     pattern: Optional[str] = None
 
 
@@ -576,18 +569,45 @@ class PThammerAttack:
                 return
         return
 
+    def hammer_for(self, pair, llc_sets, guard=None):
+        """The hammer for one pair: ``config.pattern`` (default
+        ``double_sided``) compiled against the pair's targets.
+
+        A single-sided pair (``va_a == va_b``) has one target, and
+        round-robin role binding aims every role at it: a
+        ``double_sided`` round then activates that one kernel row
+        twice, the sweeps between the touches making the second miss
+        the TLB and caches again.  Rounds land on the attack's trace
+        bus; ``guard`` wraps each round (see :meth:`_hammer_one`).
+        """
+        config = self.config
+        vas = (pair.va_a,) if pair.va_a == pair.va_b else (pair.va_a, pair.va_b)
+        targets = [
+            HammerTarget(
+                va,
+                self.tlb_builder.build(va, config.tlb_eviction_size),
+                llc_sets[va],
+            )
+            for va in vas
+        ]
+        compiled = compile_pattern(
+            get_pattern(config.pattern or "double_sided"),
+            targets,
+            llc_sweeps=config.llc_sweeps,
+            refresh_interval=self.facts.refresh_interval_cycles,
+        )
+        return PatternHammer(self.attacker, compiled, trace=self.trace, guard=guard)
+
     def _hammer_one(self, report, pair, llc_sets, escalator, outcome, budget):
         """Hammer/check one pair; returns True on escalation."""
         attacker = self.attacker
-        config = self.config
-        single_sided = pair.slot_a == pair.slot_b
         record = PairRecord(pair.slot_a, pair.slot_b, pair.conflict_score)
         start = attacker.rdtsc()
         if self.resilient:
             # Pre-hammer health check: noise may have decayed the
             # eviction machinery since selection.
             self._reverify_target(pair.va_a, llc_sets)
-            if not single_sided:
+            if pair.va_b != pair.va_a:
                 self._reverify_target(pair.va_b, llc_sets)
         # Faults inside a burst are retried one round at a time (a whole
         # burst is too many accesses for burst-level retry to survive).
@@ -596,47 +616,7 @@ class PThammerAttack:
             if self.resilient
             else None
         )
-        target_a = HammerTarget(
-            pair.va_a,
-            self.tlb_builder.build(pair.va_a, config.tlb_eviction_size),
-            llc_sets[pair.va_a],
-        )
-        targets = [target_a]
-        if not single_sided:
-            targets.append(
-                HammerTarget(
-                    pair.va_b,
-                    self.tlb_builder.build(pair.va_b, config.tlb_eviction_size),
-                    llc_sets[pair.va_b],
-                )
-            )
-        if config.pattern is not None:
-            compiled = compile_pattern(
-                get_pattern(config.pattern),
-                targets,
-                llc_sweeps=config.llc_sweeps,
-                refresh_interval=self.facts.refresh_interval_cycles,
-            )
-            hammer = PatternHammer(
-                attacker, compiled, trace=self.trace, guard=guard
-            )
-        elif single_sided:
-            hammer = SingleSidedHammer(
-                attacker,
-                target_a,
-                llc_sweeps=config.llc_sweeps,
-                trace=self.trace,
-                guard=guard,
-            )
-        else:
-            hammer = DoubleSidedHammer(
-                attacker,
-                targets[0],
-                targets[1],
-                llc_sweeps=config.llc_sweeps,
-                trace=self.trace,
-                guard=guard,
-            )
+        hammer = self.hammer_for(pair, llc_sets, guard=guard)
         record.selection_cycles = attacker.rdtsc() - start
 
         start = attacker.rdtsc()

@@ -90,11 +90,6 @@ class UarchFacts:
         """Total LLC capacity."""
         return self.llc_sets_per_slice * self.llc_slices * self.llc_ways * self.line_size
 
-    @property
-    def set_index_bits_from_page_offset(self) -> int:
-        """LLC set-index bits recoverable from a 4 KiB page offset (6..11)."""
-        return 6
-
     def pair_stride_bytes(self) -> Tuple[int, int]:
         """(virtual stride, physical L1PTE stride) for double-sided pairs.
 

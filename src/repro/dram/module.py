@@ -310,10 +310,6 @@ class DRAMModule:
         """Lifetime activation count of one bank (statistics)."""
         return self._banks[bank_index].activations
 
-    def open_row_of_bank(self, bank_index):
-        """Currently open row of a bank, or None (evaluation only)."""
-        return self._banks[bank_index].open_row
-
     def flip_count(self):
         """Number of flips produced so far."""
         return len(self.flips)

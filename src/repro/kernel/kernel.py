@@ -319,13 +319,6 @@ class Kernel:
         space.populated[page_va] = frame
 
     # ------------------------------------------------------------------
-    # accounting
-
-    def l1pt_spray_size(self):
-        """Live Level-1 page-table count (evaluation)."""
-        return self.ptm.l1pt_count()
-
-    # ------------------------------------------------------------------
     # snapshot protocol (docs/SNAPSHOTS.md)
 
     def state_dict(self):

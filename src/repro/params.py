@@ -46,12 +46,3 @@ def vpn(vaddr):
     """Virtual page number of ``vaddr`` (4 KiB granularity)."""
     return vaddr >> PAGE_SHIFT
 
-
-def page_offset(addr):
-    """Offset of ``addr`` within its 4 KiB page."""
-    return addr & (PAGE_SIZE - 1)
-
-
-def line_offset_in_page(addr):
-    """Index of the cache line that ``addr`` falls into within its page."""
-    return (addr & (PAGE_SIZE - 1)) >> LINE_SHIFT

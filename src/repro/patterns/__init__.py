@@ -1,25 +1,26 @@
 """Declarative hammer-pattern DSL compiled onto the fast path.
 
-PThammer's hard-coded loop is one point in a family of implicit-hammer
-patterns (TeleHammer's framing); this package makes the family
-first-class.  A pattern is parsed from a small DSL
+PThammer's double-sided round is one point in a family of
+implicit-hammer patterns (TeleHammer's framing); this package makes
+the family first-class, and every hammer round the attack runs is a
+compiled pattern.  A pattern is parsed from a small DSL
 (:mod:`~repro.patterns.parser`), validated as an AST
 (:mod:`~repro.patterns.model`), then resolved → unrolled → compiled
 (:mod:`~repro.patterns.compiler`) down to batched ``touch_many``
 calls, with a scalar reference interpreter kept as the equivalence
-oracle.  Built-ins register by name (:mod:`~repro.patterns.builtins`)
-and a seeded randomizer (:mod:`~repro.patterns.fuzz`) draws novel
-patterns for fuzzing campaigns.  Grammar reference and tutorial:
+oracle; :class:`~repro.core.hammer.PatternHammer` runs the result.
+Built-ins register by name (:mod:`~repro.patterns.builtins`) and a
+seeded randomizer (:mod:`~repro.patterns.fuzz`) draws novel patterns
+for fuzzing campaigns.  Grammar reference and tutorial:
 ``docs/PATTERNS.md``.
 """
 
+from repro.core.hammer import PatternHammer, hammer_batch
 from repro.patterns.builtins import get, names, register, register_text
 from repro.patterns.compiler import (
     CompiledPattern,
-    PatternHammer,
     PatternInterpreter,
     compile_pattern,
-    hammer_batch,
     resolve,
     unroll,
 )

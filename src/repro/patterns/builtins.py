@@ -7,13 +7,12 @@ below is continuously tested):
 
 ``double_sided``
     The canonical PThammer round — one implicit activation per side of
-    the pair, alternating.  Compiles to exactly the access stream of
-    the hard-coded :class:`~repro.core.hammer.DoubleSidedHammer` loop.
+    the pair, alternating.  The attack's default: every burst runs it
+    unless ``PThammerConfig.pattern`` names another.
 
 ``single_sided``
-    Both activations aimed at role ``a`` — the degraded fallback
-    :class:`~repro.core.hammer.SingleSidedHammer` encodes, as a
-    pattern.
+    Both activations aimed at role ``a`` — what ``double_sided``
+    becomes over a single-sided pair, written out as a pattern.
 
 ``four_sided``
     An n-sided example: four aggressor roles hammered in order.  Over

@@ -6,29 +6,27 @@ from abstract roles down to concrete address batches:
 1. **resolve** — bind each aggressor role to a
    :class:`~repro.core.hammer.HammerTarget` (round-robin over the
    supplied targets, so a two-role pattern binds ``a``/``b`` to a
-   double-sided pair and degrades to single-sided when only one
-   target survived pair construction);
+   double-sided pair and aims both at a lone target when only one
+   survived pair construction);
 2. **unroll** — flatten the combinator tree (``repeat``/``rotate``/
    ``interleave``) into a linear op stream of ``hammer``/``nop``/
    ``sync`` ops;
 3. **compile** — lower each ``hammer`` op to its implicit-activation
-   address batch (TLB-eviction sweep, LLC-eviction sweep(s), probe
-   touch — the exact shape of
-   :meth:`~repro.core.hammer.DoubleSidedHammer.round`) and coalesce
-   adjacent batches into single ``touch_many`` calls for the fast
-   path.  Coalescing is sound because ``access_many`` is batch-shape
-   invariant: splitting or merging batches produces identical cycles,
-   events, and state (verified by ``tests/test_fast_path.py``).
+   address batch (:func:`~repro.core.hammer.hammer_batch`: TLB-eviction
+   sweep, LLC-eviction sweep(s), probe touch) and merge adjacent
+   batches into single ``touch_many`` calls for the fast path.
+   Merging is sound because ``access_many`` is batch-shape invariant:
+   splitting or merging batches produces identical cycles, events,
+   and state (verified by ``tests/test_fast_path.py``).
 
 :class:`PatternInterpreter` executes the *unrolled* op stream with
-scalar ``attacker.touch`` calls — no batching, no coalescing — and is
+scalar ``attacker.touch`` calls — no batching, no merging — and is
 the equivalence oracle the compiled path is tested against
-event-for-event.  :class:`PatternHammer` wraps either executable in
-the drop-in round/run interface of ``DoubleSidedHammer``.
+event-for-event.  :class:`~repro.core.hammer.PatternHammer` runs either
+executable round after round.
 """
 
-from repro.core.hammer import HAMMER_ROUND_SPAN
-from repro.core.layout import PROBE_DATA_OFFSET
+from repro.core.hammer import hammer_batch
 from repro.errors import PatternError
 from repro.patterns.model import (
     Hammer,
@@ -49,9 +47,9 @@ def resolve(pattern, targets):
 
     Role ``i`` binds to ``targets[i % len(targets)]``: a two-role
     pattern over a double-sided pair gets one side each, and the same
-    pattern over a single surviving target aims both roles at it —
-    the same degradation :class:`~repro.core.hammer.SingleSidedHammer`
-    applies to the hard-coded loop.
+    pattern over a single surviving target aims both roles at it, so
+    each round activates that one kernel row twice (the single-sided
+    fallback).
     """
     targets = list(targets)
     if not targets:
@@ -119,21 +117,6 @@ def unroll(pattern):
 # compile
 
 
-def hammer_batch(target, llc_sweeps=1):
-    """The implicit-activation address batch for one hammer of a target.
-
-    Identical to one side of
-    :meth:`~repro.core.hammer.DoubleSidedHammer.round`: TLB-eviction
-    sweep, ``llc_sweeps`` LLC-eviction sweep(s), then the probe touch
-    whose page-table walk performs the kernel-row activation.
-    """
-    addrs = list(target.tlb_set)
-    for _ in range(llc_sweeps):
-        addrs.extend(target.llc_set.lines)
-    addrs.append(target.va + PROBE_DATA_OFFSET)
-    return addrs
-
-
 class CompiledPattern:
     """A pattern lowered to ``touch_many``/``nop``/``sync`` steps.
 
@@ -179,17 +162,14 @@ class CompiledPattern:
         return lines
 
 
-def compile_pattern(
-    pattern, targets, llc_sweeps=1, refresh_interval=None, coalesce=True
-):
+def compile_pattern(pattern, targets, llc_sweeps=1, refresh_interval=None):
     """Lower a pattern against concrete targets to a :class:`CompiledPattern`.
 
+    Adjacent hammer batches merge into single ``touch_many`` steps.
     ``refresh_interval`` (cycles) is required only when the pattern
     uses ``sync_ref``; omitting it for such a pattern is a
     :class:`PatternError` at compile time rather than a surprise at
-    run time.  ``coalesce=False`` keeps one ``touch`` step per
-    ``hammer`` op — useful for debugging; the default merges adjacent
-    batches into single ``touch_many`` calls.
+    run time.
     """
     binding = resolve(pattern, targets)
     ops = unroll(pattern)
@@ -197,7 +177,7 @@ def compile_pattern(
     for op in ops:
         if op[0] == "hammer":
             addrs = hammer_batch(binding[op[1]], llc_sweeps)
-            if coalesce and steps and steps[-1][0] == "touch":
+            if steps and steps[-1][0] == "touch":
                 steps[-1] = ("touch", steps[-1][1] + addrs)
             else:
                 steps.append(("touch", addrs))
@@ -225,7 +205,7 @@ def compile_pattern(
 class PatternInterpreter:
     """Executes the unrolled op stream with scalar accesses.
 
-    The equivalence oracle: no batching, no coalescing, one
+    The equivalence oracle: no batching, no merging, one
     ``attacker.touch`` per address in the hammer batch.  The compiled
     path must produce the same machine events, cycle counts, and state
     as this — ``tests/test_pattern_equivalence.py`` holds the pair to
@@ -258,54 +238,3 @@ class PatternInterpreter:
                 remainder = (-attacker.rdtsc()) % self.refresh_interval
                 if remainder:
                     attacker.nop(remainder)
-
-
-# ---------------------------------------------------------------------------
-# the drop-in hammer
-
-
-class PatternHammer:
-    """Drop-in for :class:`~repro.core.hammer.DoubleSidedHammer`.
-
-    Runs one executed pattern instance per round, wrapped in the same
-    rdtsc bracketing, ``hammer-round`` trace span, optional
-    ``nop_padding``, and per-round guard hook as the hard-coded loop —
-    so ``report.round_costs``, resilience retries, and the Figure-5
-    sweep work unchanged regardless of which pattern is loaded.
-    ``executable`` is anything with ``execute(attacker)``: a
-    :class:`CompiledPattern` normally, a :class:`PatternInterpreter`
-    when running the oracle.
-    """
-
-    def __init__(self, attacker, executable, trace=None, guard=None):
-        self.attacker = attacker
-        self.executable = executable
-        self.trace = trace
-        self._guard = guard if guard is not None else lambda operation: operation()
-
-    def round(self, nop_padding=0):
-        """One pattern instance; returns its cost in cycles."""
-        attacker = self.attacker
-        start = attacker.rdtsc()
-        self.executable.execute(attacker)
-        if nop_padding:
-            attacker.nop(nop_padding)
-        end = attacker.rdtsc()
-        if self.trace is not None:
-            self.trace.add_span(HAMMER_ROUND_SPAN, start, end)
-        return end - start
-
-    def run(self, rounds, nop_padding=0):
-        """``rounds`` iterations; returns the per-round cycle costs."""
-        return [
-            self._guard(lambda: self.round(nop_padding)) for _ in range(rounds)
-        ]
-
-    def run_for_cycles(self, budget_cycles, nop_padding=0):
-        """Hammer until ``budget_cycles`` have elapsed; returns costs."""
-        attacker = self.attacker
-        deadline = attacker.rdtsc() + budget_cycles
-        costs = []
-        while attacker.rdtsc() < deadline:
-            costs.append(self._guard(lambda: self.round(nop_padding)))
-        return costs

@@ -57,11 +57,6 @@ def _markdown_files(root):
     return found
 
 
-def _resolves(target, source_dir, root):
-    """Whether a reference resolves relative to its file or the repo root."""
-    return _resolve_path(target, source_dir, root) is not None
-
-
 def _resolve_path(target, source_dir, root):
     """The filesystem path a reference resolves to, or None."""
     for base in (source_dir, root):

@@ -372,7 +372,6 @@ def test_scheduler_backoff_gates_retries():
     assert state.not_before > 100.0
     # gated shard is skipped; the next pending shard is offered instead
     assert scheduler.next_ready(now=100.0).shard.key == plan.shards[1].key
-    assert scheduler.next_wakeup(now=100.0) == state.not_before
     # once the gate passes, the failed shard is first again (plan order)
     assert scheduler.next_ready(now=state.not_before).shard.key == key
 

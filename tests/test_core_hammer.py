@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.explicit import ExplicitHammer, RowhammerTestTool
-from repro.core.hammer import DoubleSidedHammer, HammerTarget
 from repro.core.pthammer import PThammerAttack, PThammerConfig, PThammerReport
 from repro.machine import AttackerView, Inspector, Machine
 from repro.machine.configs import tiny_test_config
@@ -25,12 +24,7 @@ def prepared():
 
 def make_hammer(attacker, attack, pairs, llc_sets):
     pair = pairs[0]
-    size = attack.config.tlb_eviction_size
-    return DoubleSidedHammer(
-        attacker,
-        HammerTarget(pair.va_a, attack.tlb_builder.build(pair.va_a, size), llc_sets[pair.va_a]),
-        HammerTarget(pair.va_b, attack.tlb_builder.build(pair.va_b, size), llc_sets[pair.va_b]),
-    ), pair
+    return attack.hammer_for(pair, llc_sets), pair
 
 
 def test_rounds_activate_both_aggressors(prepared):

@@ -340,3 +340,64 @@ def test_worker_death_reaches_the_telemetry_spool(tmp_path):
     # The dead worker stays dead in `repro dash`; the others finished.
     assert report["liveness"].count("dead") == 1
     assert set(report["liveness"]) == {"dead", "done"}
+
+
+# The same death without keep_going aborts the run; its spool must
+# still end with a run-end line, or `repro dash` shows it running.
+_DEATH_ABORT_SCRIPT = r"""
+import json, os, signal, sys
+
+from repro.analysis.engine import ExperimentSpec, Task, run_experiment
+from repro.errors import WorkerDied
+from repro.observe.stream import TelemetryAggregator
+
+root = sys.argv[1]
+
+def run_task(task, options):
+    if task.key == "b":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task.key
+
+spec = ExperimentSpec(
+    name="death-abort",
+    title="death abort",
+    build_tasks=lambda options: [Task(key=key) for key in "abcd"],
+    run_task=run_task,
+    reduce=lambda data, options: data,
+)
+try:
+    run_experiment(spec, jobs=2, telemetry=root)
+    raised = None
+except WorkerDied as exc:
+    raised = type(exc).__name__
+(spool,) = os.listdir(root)
+aggregator = TelemetryAggregator(os.path.join(root, spool))
+aggregator.poll()
+print(json.dumps({
+    "raised": raised,
+    "run": [json.loads(line) for line in open(os.path.join(root, spool, "run.jsonl"))],
+    "finished": aggregator.finished,
+}))
+"""
+
+
+def test_aborted_run_still_ends_its_telemetry_spool(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", _DEATH_ABORT_SCRIPT, str(tmp_path / "telemetry")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout)
+    assert report["raised"] == "WorkerDied"
+    assert report["run"][-1]["type"] == "run-end"
+    assert report["run"][-1]["completed"] is False
+    assert report["finished"] is not None
+    assert report["finished"]["completed"] is False

@@ -23,7 +23,7 @@ from repro.cache.policies import make_policy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.chaos import ChaosConfig, ChaosInjector, chaos_profile
 from repro.core import PThammerAttack, PThammerConfig
-from repro.core.hammer import DoubleSidedHammer, HammerTarget
+from repro.core.hammer import HammerTarget, PatternHammer
 from repro.core.llc_pool import EvictionSet
 from repro.core.spray import PageTableSpray
 from repro.defenses import DEFENSE_PRESETS
@@ -40,6 +40,7 @@ from repro.machine.addrmap import (
 )
 from repro.machine.configs import tiny_test_config
 from repro.params import PAGE_SIZE
+from repro.patterns import compile_pattern, get
 from repro.utils.rng import DeterministicRng
 
 
@@ -81,7 +82,7 @@ def _assert_equivalent(reference, fast, trace=False):
 
 def _double_sided_hammer(machine, attacker):
     """A double-sided hammer over two targets with hand-built eviction
-    sets; every round is two ``touch_many`` batches."""
+    sets; every round is one ``touch_many`` batch."""
     sets = machine.config.tlb.l1d_sets
     base = attacker.mmap(12 * sets + 40, populate=True)
     targets = []
@@ -90,7 +91,7 @@ def _double_sided_hammer(machine, attacker):
         lines = [base + (12 * sets + 13 * t + i) * 4096 + 17 * 64 for i in range(13)]
         va = base + (12 * sets + 26 + t) * 4096
         targets.append(HammerTarget(va, tlb_set, EvictionSet(lines, 17)))
-    return DoubleSidedHammer(attacker, targets[0], targets[1])
+    return PatternHammer(attacker, compile_pattern(get("double_sided"), targets))
 
 
 @pytest.mark.slow

@@ -7,17 +7,19 @@ contract: same virtual cycles, same metrics snapshot, same trace
 events byte for byte — on the reference engine *and* the fast engine
 (``REPRO_FAST_PATH=0/1`` equivalents via ``Machine(fast_path=...)``).
 Also pinned here: ``PatternHammer`` running the ``double_sided``
-built-in is indistinguishable from the hard-coded
-:class:`~repro.core.hammer.DoubleSidedHammer`, all the way up to the
-full attack.
+built-in — the round every attack runs by default — is
+indistinguishable from the hand-written round it replaced, kept below
+as :class:`RetiredRound`, all the way up to the full attack, quiet and
+under chaos.
 """
 
 import json
 
 import pytest
 
+from repro.chaos import ChaosInjector, chaos_profile
 from repro.core import PThammerAttack, PThammerConfig
-from repro.core.hammer import DoubleSidedHammer, HammerTarget
+from repro.core.hammer import HAMMER_ROUND_SPAN, HammerTarget
 from repro.core.llc_pool import EvictionSet
 from repro.core.uarch import UarchFacts
 from repro.errors import PatternError
@@ -67,6 +69,10 @@ def _metrics(machine):
     return json.dumps(machine.metrics.snapshot_values(), sort_keys=True)
 
 
+def _round_spans(machine):
+    return [span.cycles for span in machine.trace.spans_named(HAMMER_ROUND_SPAN)]
+
+
 def _run_pattern(name, fast, build):
     """Boot a machine, hammer ``name`` for ROUNDS via ``build``, return it."""
     machine, attacker = _boot(fast=fast)
@@ -112,56 +118,79 @@ def test_compiled_fast_matches_compiled_reference(name):
     assert _events(fast) == _events(reference)
 
 
-def test_coalescing_is_behaviourally_invisible():
-    """coalesce=False (one touch step per hammer op) must not change
-    anything observable — it only splits the batches."""
+class RetiredRound:
+    """The hand-written round that ``double_sided`` replaced.
 
-    def uncoalesced(pattern, targets, interval):
-        compiled = compile_pattern(
-            pattern, targets, refresh_interval=interval, coalesce=False
-        )
-        assert len(compiled.steps) > len(
-            compile_pattern(pattern, targets, refresh_interval=interval).steps
-        )
-        return compiled
+    One ``touch_many`` batch per target per round — TLB sweep, LLC
+    sweep(s), probe touch — and a lone target hammered twice, with the
+    same ``rdtsc`` bracketing, ``hammer-round`` span and per-round
+    guard as :class:`~repro.core.hammer.PatternHammer`.
+    """
 
-    merged = _run_pattern("four_sided", True, _compiled)
-    split = _run_pattern("four_sided", True, uncoalesced)
-    assert split.cycles == merged.cycles
-    assert _events(split) == _events(merged)
+    def __init__(self, attacker, targets, llc_sweeps=1, trace=None, guard=None):
+        self.attacker = attacker
+        self.targets = targets if len(targets) == 2 else [targets[0]] * 2
+        self.llc_sweeps = llc_sweeps
+        self.trace = trace
+        self._guard = guard if guard is not None else lambda operation: operation()
+
+    def round(self):
+        attacker = self.attacker
+        start = attacker.rdtsc()
+        for target in self.targets:
+            attacker.touch_many(hammer_batch(target, self.llc_sweeps))
+        end = attacker.rdtsc()
+        if self.trace is not None:
+            self.trace.add_span(HAMMER_ROUND_SPAN, start, end)
+        return end - start
+
+    def run(self, rounds):
+        return [self._guard(self.round) for _ in range(rounds)]
+
+    def run_for_cycles(self, budget_cycles):
+        deadline = self.attacker.rdtsc() + budget_cycles
+        costs = []
+        while self.attacker.rdtsc() < deadline:
+            costs.append(self._guard(self.round))
+        return costs
 
 
-def test_pattern_hammer_matches_double_sided_hammer():
-    """The compiled double_sided built-in is byte-identical to the
-    hard-coded DoubleSidedHammer loop it replaces."""
+@pytest.mark.parametrize("sides", [1, 2])
+@pytest.mark.parametrize("fast", [False, True])
+def test_double_sided_matches_the_retired_round(fast, sides):
+    """The compiled double_sided built-in — one merged batch per round
+    — is byte-identical to the retired round's batch per target, over
+    a pair and over a lone target, on both engines."""
     machines = []
     costs = []
-    for legacy in (True, False):
-        machine, attacker = _boot()
-        targets = _targets(machine, attacker)
-        if legacy:
-            hammer = DoubleSidedHammer(attacker, targets[0], targets[1])
+    for retired in (True, False):
+        machine, attacker = _boot(fast=fast)
+        targets = _targets(machine, attacker)[:sides]
+        if retired:
+            hammer = RetiredRound(attacker, targets, trace=machine.trace)
         else:
             compiled = compile_pattern(get("double_sided"), targets)
             hammer = PatternHammer(attacker, compiled, trace=machine.trace)
         costs.append(hammer.run(rounds=ROUNDS))
         machines.append(machine)
-    legacy, pattern = machines
+    retired, pattern = machines
     assert costs[0] == costs[1]
-    assert pattern.cycles == legacy.cycles
-    assert _metrics(pattern) == _metrics(legacy)
-    assert _events(pattern) == _events(legacy)
+    assert _round_spans(pattern) == _round_spans(retired) == costs[0]
+    assert pattern.cycles == retired.cycles
+    assert _metrics(pattern) == _metrics(retired)
+    assert _events(pattern) == _events(retired)
+    assert len(pattern.trace.events) > 0
 
 
 def test_single_target_binding_degrades_like_single_sided():
-    """With one surviving target every role binds to it — the pattern
-    analogue of the SingleSidedHammer fallback."""
+    """With one surviving target every role binds to it: the
+    single-sided fallback."""
     machine, attacker = _boot()
     targets = _targets(machine, attacker)[:1]
     binding = resolve(get("four_sided"), targets)
     assert set(binding.values()) == {targets[0]}
     compiled = compile_pattern(get("four_sided"), targets)
-    # 4 hammers of the same target coalesce into one batch.
+    # 4 hammers of the same target merge into one batch.
     assert [step[0] for step in compiled.steps] == ["touch"]
     assert compiled.steps[0][1] == hammer_batch(targets[0]) * 4
 
@@ -184,26 +213,48 @@ def test_compile_errors():
 # full-attack equivalence and end-to-end pattern runs
 
 
+def _retired_hammer_for(self, pair, llc_sets, guard=None):
+    """``PThammerAttack.hammer_for`` as the attack ran it before every
+    round became a compiled pattern."""
+    size = self.config.tlb_eviction_size
+    vas = [pair.va_a] if pair.slot_a == pair.slot_b else [pair.va_a, pair.va_b]
+    targets = [
+        HammerTarget(va, self.tlb_builder.build(va, size), llc_sets[va]) for va in vas
+    ]
+    return RetiredRound(
+        self.attacker, targets, llc_sweeps=self.config.llc_sweeps,
+        trace=self.trace, guard=guard,
+    )
+
+
+def _attack(chaos):
+    machine = Machine(tiny_test_config(seed=1), fast_path=True)
+    if chaos is not None:
+        machine.attach_chaos(ChaosInjector(chaos_profile(chaos)))
+    attacker = AttackerView(machine, machine.boot_process())
+    config = PThammerConfig(spray_slots=128, pair_sample=10, max_pairs=4)
+    report = PThammerAttack(attacker, config).run()
+    return machine, report
+
+
 @pytest.mark.slow
-def test_attack_with_double_sided_pattern_is_byte_identical():
-    """`repro attack --pattern double_sided` must reproduce the
-    hard-coded loop exactly: flips, outcome, metrics, cycles."""
-    reports = []
-    machines = []
-    for pattern in (None, "double_sided"):
-        machine = Machine(tiny_test_config(seed=1), fast_path=True)
-        attacker = AttackerView(machine, machine.boot_process())
-        config = PThammerConfig(
-            spray_slots=128, pair_sample=10, max_pairs=8, pattern=pattern
-        )
-        reports.append(PThammerAttack(attacker, config).run())
-        machines.append(machine)
-    legacy, pattern = machines
-    assert pattern.cycles == legacy.cycles
-    assert _metrics(pattern) == _metrics(legacy)
-    assert reports[1].total_flips == reports[0].total_flips
-    assert reports[1].escalated == reports[0].escalated
-    assert json.dumps(reports[1].round_costs) == json.dumps(reports[0].round_costs)
+@pytest.mark.parametrize("chaos", [None, "desktop"])
+def test_attack_matches_the_retired_round(chaos, monkeypatch):
+    """The whole attack on the default pattern reproduces the retired
+    round exactly — flips, outcome, metrics, cycles, round costs —
+    quiet, and under chaos, where every round runs under the retry
+    guard."""
+    machine, report = _attack(chaos)
+    with monkeypatch.context() as patch:
+        patch.setattr(PThammerAttack, "hammer_for", _retired_hammer_for)
+        retired_machine, retired = _attack(chaos)
+    assert report.round_costs and report.pairs
+    assert machine.cycles == retired_machine.cycles
+    assert _metrics(machine) == _metrics(retired_machine)
+    assert report.summary() == retired.summary()  # flips, outcome, pairs
+    assert json.dumps(report.round_costs) == json.dumps(retired.round_costs)
+    if chaos is not None:
+        assert machine.metrics.read("recovery.retry.hammer-check") > 0
 
 
 @pytest.mark.slow

@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.chaos import ChaosInjector, chaos_profile
-from repro.core.hammer import DoubleSidedHammer, HammerTarget
+from repro.core.hammer import HammerTarget, PatternHammer
 from repro.core.llc_pool import EvictionSet
 from repro.errors import SnapshotError
 from repro.machine import (
@@ -31,6 +31,7 @@ from repro.machine import (
 )
 from repro.machine.configs import tiny_test_config
 from repro.machine.snapshot import config_from_dict
+from repro.patterns import compile_pattern, get
 from repro.utils.serialize import pack, unpack
 
 
@@ -53,7 +54,7 @@ def _hammer_for(machine, attacker, base):
         ]
         va = base + (12 * sets + 26 + t) * 4096
         targets.append(HammerTarget(va, tlb_set, EvictionSet(lines, 17)))
-    return DoubleSidedHammer(attacker, targets[0], targets[1])
+    return PatternHammer(attacker, compile_pattern(get("double_sided"), targets))
 
 
 def _metrics(machine):
