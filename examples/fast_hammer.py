@@ -11,9 +11,7 @@ Walks the two-engine design from docs/PERFORMANCE.md:
    flip counts must match exactly (the fast engine is required to be
    behaviourally invisible);
 3. show the speedup — time only the hot loop with
-   ``time.process_time``, the way the ``hammer-loop`` bench does;
-4. peek at the machinery — the ``AddressMap`` memo's hit/invalidation
-   counters, and a page-table migration bumping a region's generation.
+   ``time.process_time``, the way the ``hammer-loop`` bench does.
 
 Run time is a few seconds at tiny scale:
 
@@ -26,7 +24,6 @@ import time
 from repro.core.hammer import HammerTarget, PatternHammer
 from repro.core.llc_pool import EvictionSet
 from repro.machine import AttackerView, Machine
-from repro.machine.addrmap import ADDRMAP_MISS
 from repro.machine.configs import tiny_test_config
 from repro.patterns import compile_pattern, get
 
@@ -80,29 +77,6 @@ def main():
     print("reference: %6.3f s" % ref_seconds)
     print("fast:      %6.3f s   (%.2fx)" % (fast_seconds, ref_seconds / fast_seconds))
 
-    print()
-    print("== 4. the AddressMap memo underneath ==")
-    attacker = AttackerView(fast, fast.boot_process())
-    base = attacker.mmap(8, populate=True)
-    cr3 = attacker.process.address_space.cr3
-    pages = [base + i * 4096 for i in range(8)]
-    attacker.read_bulk(pages)  # first sweep resolves the region's L1PT
-    attacker.read_bulk(pages)  # later sweeps hit the memo
-    stats = fast.addrmap.stats()
-    print("addrmap after two 8-page bulk sweeps: %(entries)d entries, "
-          "%(hits)d hits, %(misses)d misses, %(invalidations)d invalidations"
-          % stats)
-    # A page-table migration (what repro.chaos churn does) invalidates
-    # exactly the affected 2 MiB region; the next lookup re-resolves.
-    assert fast.addrmap.cached_l1pt(cr3, base) is not ADDRMAP_MISS
-    fast.ptm.migrate_l1pt(cr3, base)
-    print("after migrate_l1pt: cached entry stale -> %s" % (
-        "miss" if fast.addrmap.cached_l1pt(cr3, base) is ADDRMAP_MISS else "hit",
-    ))
-    attacker.read_bulk([base])
-    print("after re-resolution: %s" % (
-        "miss" if fast.addrmap.cached_l1pt(cr3, base) is ADDRMAP_MISS else "hit",
-    ))
     print()
     print("REPRO_FAST_PATH=0 runs everything on the reference engine;")
     print("see docs/PERFORMANCE.md for the invariants and the CI gate.")

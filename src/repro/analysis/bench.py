@@ -13,11 +13,12 @@ Workflow (see ``docs/RUN_LEDGER.md``)::
     repro bench --compare main               # nonzero exit on regression
 
 Comparison is direction-aware: ``time.*``/``phase.*``/histogram
-metrics regress *upward*, flip counts regress *downward*.  Host wall
-time is noisy across machines, which is why the default tolerance is
-a generous 25% and why the virtual-cycle metrics — deterministic for
-a given seed — are recorded alongside it: a virtual-cycle regression
-is real at any tolerance.
+metrics regress *upward*, flip counts regress *downward*.  Raw host
+wall time (``time.host_seconds``) moves by more than the default 25%
+tolerance between two back-to-back runs on one shared host, so an
+ungated ``--compare`` prints it but never counts it as a regression;
+the virtual-cycle metrics recorded alongside it are deterministic for
+a given seed, so a virtual-cycle regression is real at any tolerance.
 """
 
 import re
@@ -35,6 +36,9 @@ from repro.observe.ledger import (
 
 #: Default regression tolerance (fraction of the baseline value).
 DEFAULT_TOLERANCE = 0.25
+
+#: Metrics an ungated comparison prints but never counts as regressed.
+INFORMATIONAL = ("time.host_seconds",)
 
 
 @dataclass
@@ -230,8 +234,10 @@ def compare_to_baseline(
     ``gate`` is an optional regex: when given, only metric names it
     matches (``re.search``) are compared at all.  CI uses this to gate
     on the deterministic metrics (virtual cycles, phase costs, the
-    fast/reference ratio) while ignoring raw host seconds, which vary
-    between runner machines far more than any real regression.
+    fast/reference ratio).  Without a gate every comparable metric is
+    compared, but the :data:`INFORMATIONAL` ones (raw host seconds,
+    which vary between runs far more than any real regression) are
+    never marked regressed.
     """
     if gate is None:
         keep = _comparable
@@ -249,14 +255,14 @@ def compare_to_baseline(
             missing.append(result.name)
             continue
         names.append(result.name)
-        diffs.append(
-            diff_records(
-                reference,
-                result.to_record(),
-                tolerance=tolerance,
-                metrics=keep,
-            )
+        diff = diff_records(
+            reference, result.to_record(), tolerance=tolerance, metrics=keep
         )
+        if gate is None:
+            for delta in diff.deltas:
+                if delta.name in INFORMATIONAL:
+                    delta.regressed = False
+        diffs.append(diff)
     return BenchComparison(
         baseline=baseline, diffs=diffs, missing=missing, names=names
     )
@@ -294,16 +300,22 @@ def _attack_bench():
 
 
 def _experiment_bench(name, options_fn):
-    """A registered-experiment benchmark sharing the engine code path."""
+    """A registered-experiment benchmark sharing the engine code path.
+
+    Its record carries the run's virtual cycles, deterministic for the
+    seed, beside the host seconds that ``--compare`` only prints.
+    """
 
     def runner():
-        from repro.analysis.engine import run_experiment
+        from repro.analysis.engine import machines_observed, run_experiment
         from repro.machine.configs import tiny_test_config
 
-        run = run_experiment(name, options_fn(tiny_test_config))
+        with machines_observed() as machines:
+            run = run_experiment(name, options_fn(tiny_test_config))
         return {
             "machine": "tiny-test",
             "config_fingerprint": config_fingerprint(tiny_test_config()),
+            "timings": {"virtual_cycles": sum(m.cycles for m in machines)},
             "metrics": run.metrics.snapshot_values(),
             "outcome": {"completed": run.completed, "tasks": run.tasks_total},
         }

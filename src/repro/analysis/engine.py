@@ -36,6 +36,7 @@ JSON-serialisable.  Without ``fork`` the engine runs serially, with
 identical results.
 """
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -183,6 +184,21 @@ def observe_machine(machine):
     observe_machine_metrics(machine.metrics)
     for capture in _ACTIVE_MACHINES:
         capture.append(machine)
+
+
+@contextlib.contextmanager
+def machines_observed():
+    """Collect every machine that tasks running in this process observe.
+
+    Serial runs (``jobs=1``) run their tasks here; pooled workers keep
+    theirs.  The quick benches read a run's virtual cycles off them.
+    """
+    machines = []
+    _ACTIVE_MACHINES.append(machines)
+    try:
+        yield machines
+    finally:
+        _ACTIVE_MACHINES.pop()
 
 
 def _telemetry_observation(machines):

@@ -774,7 +774,6 @@ def _cmd_snapshot(args):
             "machine",
             "fingerprint",
             "config_fingerprint",
-            "fast_path",
             "cycles",
             "processes",
             "resident_frames",
@@ -785,8 +784,9 @@ def _cmd_snapshot(args):
             print("meta.%-13s %s" % (key, info["meta"][key]))
         return 0
     # load: the full validation path — rebuild the config from the
-    # snapshot, boot a fresh machine, and restore into it.
-    machine = Machine(snap.config(), fast_path=snap.fast_path)
+    # snapshot, boot a fresh machine on the environment's tier, and
+    # restore into it.
+    machine = Machine(snap.config())
     machine.restore(snap)
     print(
         "restored %s snapshot %s: %d cycles, %d process(es)"

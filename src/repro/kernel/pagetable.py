@@ -25,11 +25,18 @@ class MappingError(ReproError):
 
 
 class PageTableManager:
-    """Creates and edits 4-level page tables stored in physical memory."""
+    """Creates and edits 4-level page tables stored in physical memory.
+
+    Software readers of the tables walk them live
+    (:meth:`l1pt_frame_of`, :meth:`lookup`) and cache no table frames,
+    so creating, migrating or dropping a table needs no notification
+    beyond the TLB and paging-structure-cache shootdown its caller
+    owes, as on hardware.
+    """
 
     def __init__(
         self, physmem, warm_cache, alloc_table_frame, frame_mask,
-        free_table_frame=None, notify_l1pt_change=None,
+        free_table_frame=None,
     ):
         self.physmem = physmem
         #: Callable(paddr): models the CPU store leaving the entry cached.
@@ -40,13 +47,6 @@ class PageTableManager:
         #: None leaks replaced frames (the pre-churn behaviour, fine for
         #: the bounded table turnover of a quiet run).
         self.free_table_frame = free_table_frame
-        #: Callable(vaddr) invoked whenever the *identity* of the L1 page
-        #: table covering ``vaddr`` changes (created, migrated, dropped).
-        #: The machine's :class:`~repro.machine.addrmap.AddressMap` hooks
-        #: this to invalidate its region memo; entry edits within an
-        #: existing table deliberately do not fire it (the memo caches
-        #: the table frame, never entry contents).
-        self.notify_l1pt_change = notify_l1pt_change
         self.frame_mask = frame_mask
         #: level -> set of page-table frames, for evaluation.
         self.table_frames = {1: set(), 2: set(), 3: set(), 4: set()}
@@ -89,9 +89,6 @@ class PageTableManager:
         self.write_entry(
             table_frame, table_index(vaddr, level), make_pte(child, user=True)
         )
-        if level == 2 and self.notify_l1pt_change is not None:
-            # A fresh L1PT now covers this 2 MiB region.
-            self.notify_l1pt_change(vaddr)
         return child
 
     def map_page(self, cr3, vaddr, frame, user=True, writable=True):
@@ -256,8 +253,6 @@ class PageTableManager:
         )
         self.table_frames[1].discard(old)
         self.table_frames[1].add(new)
-        if self.notify_l1pt_change is not None:
-            self.notify_l1pt_change(vaddr)
         if self.free_table_frame is not None:
             # The kernel returns the vacated frame after the shootdown;
             # without this, sustained churn would bleed the allocator dry.
@@ -281,8 +276,6 @@ class PageTableManager:
         self.physmem.zero_frame(old)
         self.write_entry(l2_table, table_index(vaddr, 2), 0)
         self.table_frames[1].discard(old)
-        if self.notify_l1pt_change is not None:
-            self.notify_l1pt_change(vaddr)
         return old
 
     def l1pt_count(self):

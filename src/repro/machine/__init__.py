@@ -1,6 +1,5 @@
 """Machine composition: configs, the machine, the attacker view, the inspector."""
 
-from repro.machine.addrmap import AddressMap
 from repro.machine.attacker import AttackerView
 from repro.machine.configs import (
     CacheConfig,
@@ -26,7 +25,6 @@ from repro.machine.snapshot import SNAPSHOT_VERSION, MachineSnapshot
 
 __all__ = [
     "AccessResult",
-    "AddressMap",
     "AttackerView",
     "CPUTimings",
     "CacheConfig",

@@ -16,13 +16,7 @@ from repro.dram.module import DRAMModule
 from repro.dram.timing import DRAMTimings
 from repro.kernel.kernel import Kernel
 from repro.kernel.pagetable import PageTableManager
-from repro.machine.addrmap import (
-    ADDRMAP_MISS,
-    AddressMap,
-    CounterBatch,
-    TIER_FAST,
-    resolve_tier,
-)
+from repro.machine.addrmap import CounterBatch, TIER_FAST, resolve_tier
 from repro.machine.snapshot import MachineSnapshot
 from repro.machine.perf import (
     DTLB_HIT,
@@ -74,8 +68,9 @@ class Machine:
         #: tier name (``"reference"`` or ``"fast"``), or ``None`` to
         #: consult the ``REPRO_FAST_PATH`` environment variable (default
         #: on); :func:`~repro.machine.addrmap.resolve_tier` parses all
-        #: three.  The flag is fixed for the machine's lifetime so
-        #: memoized state can never straddle the two paths.
+        #: three.  The flag is fixed for the machine's lifetime; machine
+        #: state is the same on both tiers, so a snapshot of either
+        #: restores into either.
         self.fast_path = resolve_tier(fast_path) == TIER_FAST
 
         #: Structured trace bus shared by every layer (off by default;
@@ -130,10 +125,6 @@ class Machine:
         self.tlb = TLB(
             config.tlb, self.rng.fork("tlb"), trace=self.trace, fast=self.fast_path
         )
-        #: Generation-checked region -> L1PT memo for the fast path
-        #: (docs/PERFORMANCE.md); kept in sync by the page-table
-        #: manager's ``notify_l1pt_change`` hook below.
-        self.addrmap = AddressMap()
 
         self._paddr_mask = config.dram.size_bytes - 1
         frame_mask = (config.dram.size_bytes >> PAGE_SHIFT) - 1
@@ -164,7 +155,6 @@ class Machine:
             free_table_frame=lambda frame: self.policy.free_frame(
                 frame, "pagetable"
             ),
-            notify_l1pt_change=self.addrmap.note_l1pt_change,
         )
         self.kernel = Kernel(
             self.physmem, self.ptm, self.policy, self.tlb.invalidate,
@@ -652,19 +642,23 @@ class Machine:
         """:meth:`bulk_read`'s values, one 2 MiB run at a time (fast tier).
 
         Consecutive addresses in one 2 MiB region share an L1PT, so
-        each run costs one :class:`AddressMap` lookup (its hit counter
-        counts runs, not pages) and then indexes the table's and the
-        data frames' word arrays directly, without materialising
-        unwritten frames.  Any fault ends the run: the next address
-        resolves its table again, since a fault may create, heal, or
-        rebuild one.  Faults take the reference tier's steps.
+        each run resolves its table with one ``l1pt_frame_of`` walk and
+        then indexes the table's and the data frames' word arrays
+        directly, without materialising unwritten frames.  Faults take
+        the reference tier's steps; since a fault may create, heal or
+        rebuild the table, the run then resolves it once more and goes
+        on.  Only a page the table cannot serve after its fault (the
+        region has no L1PT, say) falls back to a full ``lookup``.
         """
         cr3 = process.address_space.cr3
-        addrmap = self.addrmap
-        cached_l1pt = addrmap.cached_l1pt
         l1pt_of = self.ptm.l1pt_frame_of
         frame_words = self.physmem.frame_words
         frame_mask = (self.config.dram.size_bytes >> PAGE_SHIFT) - 1
+
+        def table_of(vaddr):
+            l1pt = l1pt_of(cr3, vaddr)
+            return None if l1pt is None else frame_words(l1pt)
+
         values = []
         append = values.append
         region = None
@@ -672,29 +666,27 @@ class Machine:
         for vaddr in vaddrs:
             if vaddr >> 21 != region:
                 region = vaddr >> 21
-                l1pt = cached_l1pt(cr3, vaddr)
-                if l1pt is ADDRMAP_MISS:
-                    l1pt = l1pt_of(cr3, vaddr)
-                    addrmap.store_l1pt(cr3, vaddr, l1pt)
-                table = None if l1pt is None else frame_words(l1pt)
-            if table is not None:
-                entry = table[(vaddr >> 12) & 511]
-                if entry & 1:
-                    words = frame_words((entry >> 12) & frame_mask)
-                    append(0 if words is None else words[(vaddr & 0xFFF) >> 3])
+                table = table_of(vaddr)
+            entry = 0 if table is None else table[(vaddr >> 12) & 511]
+            if not entry & 1:
+                # Demand-populate or heal, as a real access would.
+                try:
+                    self.kernel.handle_page_fault(process, vaddr, write=False)
+                except SegmentationFault:
+                    append(None)
                     continue
-            region = None
-            try:
-                self.kernel.handle_page_fault(process, vaddr, write=False)
-            except SegmentationFault:
-                append(None)
-                continue
-            hit = self.ptm.lookup(cr3, vaddr)
-            if hit is None:
-                append(None)
-                continue
-            paddr = ((hit[0] << PAGE_SHIFT) | (vaddr & 0xFFF)) & self._paddr_mask
-            append(self.physmem.read_word(paddr & ~7))
+                table = table_of(vaddr)
+                entry = 0 if table is None else table[(vaddr >> 12) & 511]
+                if not entry & 1:
+                    hit = self.ptm.lookup(cr3, vaddr)
+                    if hit is None:
+                        append(None)
+                        continue
+                    paddr = (hit[0] << PAGE_SHIFT) | (vaddr & 0xFFF)
+                    append(self.physmem.read_word(paddr & self._paddr_mask & ~7))
+                    continue
+            words = frame_words((entry >> 12) & frame_mask)
+            append(0 if words is None else words[(vaddr & 0xFFF) >> 3])
         return values
 
     def clflush(self, process, vaddr):
@@ -782,13 +774,14 @@ class Machine:
 
         Composes every component's ``state_dict()`` — memory, DRAM
         disturbance, caches, TLBs, paging-structure caches, kernel
-        tables, allocators, RNG streams, the fast path's address memos,
-        and the metrics registry — plus the machine's own clock and
-        memory-level-parallelism bookkeeping.  Pure derived memos (LLC
-        index, DRAM geometry, fault-model cell cache) are *not*
-        captured; they re-warm identically after restore.  ``meta`` is
-        an optional JSON-safe dict stored verbatim (warm start records
-        the attacker's ``boot_pid`` there).
+        tables, allocators, RNG streams and the metrics registry — plus
+        the machine's own clock and memory-level-parallelism
+        bookkeeping.  Pure derived memos (LLC index, DRAM geometry,
+        fault-model cell cache) are *not* captured; they re-warm
+        identically after restore.  The state is the same on both
+        tiers, so the snapshot restores into a machine of either.
+        ``meta`` is an optional JSON-safe dict stored verbatim (warm
+        start records the attacker's ``boot_pid`` there).
         """
         state = {
             "machine": {
@@ -808,28 +801,26 @@ class Machine:
             "policy": self.policy.state_dict(),
             "ptm": self.ptm.state_dict(),
             "kernel": self.kernel.state_dict(),
-            "addrmap": self.addrmap.state_dict(),
             "metrics": self.metrics.state_dict(),
         }
         if self.chaos is not None:
             state["chaos"] = self.chaos.state_dict()
-        return MachineSnapshot.capture(
-            self.config, self.fast_path, state, meta=meta
-        )
+        return MachineSnapshot.capture(self.config, state, meta=meta)
 
     def restore(self, snap):
         """Load a :class:`MachineSnapshot` into this machine, in place.
 
         The machine must be structurally compatible: same config
-        fingerprint, same fast-path flag, and a chaos injector attached
-        exactly when the snapshot carries chaos streams (profile
-        equality is checked stream-by-stream by the injector).  After
-        restore this machine is byte-for-byte indistinguishable from
-        the one that was captured — continuing it produces the same
-        traces, cycle counts, and bit flips (``tests/test_snapshot.py``
-        enforces this).  Returns ``self``.
+        fingerprint, and a chaos injector attached exactly when the
+        snapshot carries chaos streams (profile equality is checked
+        stream-by-stream by the injector).  Its tier may differ from
+        the captured machine's.  After restore this machine is
+        byte-for-byte indistinguishable from the one that was captured
+        — continuing it produces the same traces, cycle counts, and
+        bit flips (``tests/test_snapshot.py`` enforces this).  Returns
+        ``self``.
         """
-        snap.ensure_matches(self.config, self.fast_path)
+        snap.ensure_matches(self.config)
         state = snap.state()
         if ("chaos" in state) != (self.chaos is not None):
             raise SnapshotError(
@@ -855,7 +846,6 @@ class Machine:
         self.policy.load_state(state["policy"])
         self.ptm.load_state(state["ptm"])
         self.kernel.load_state(state["kernel"])
-        self.addrmap.load_state(state["addrmap"])
         self.metrics.load_state(state["metrics"])
         if self.chaos is not None:
             self.chaos.load_state(state["chaos"])

@@ -4,12 +4,13 @@ A :class:`MachineSnapshot` is a versioned, JSON-serialisable capture of
 one machine's complete simulated state — DRAM contents and disturbance
 counters, cache and TLB arrays with their replacement-policy bits,
 paging-structure caches, kernel process/cred/allocator tables, RNG
-stream positions, the fast path's generation-checked address memos, and
-the metrics registry.  It is assembled purely from per-component
-``state_dict()`` trees (docs/SNAPSHOTS.md); **no live object is ever
-pickled**, so a snapshot written by one process loads in any other —
-including pool workers with a different interpreter lifetime — and two
-snapshots of identical machine states are byte-identical.
+stream positions, and the metrics registry.  It is assembled purely
+from per-component ``state_dict()`` trees (docs/SNAPSHOTS.md); **no
+live object is ever pickled**, so a snapshot written by one process
+loads in any other — including pool workers with a different
+interpreter lifetime — and two snapshots of identical machine states
+are byte-identical.  Machine state is the same on both access-engine
+tiers, so a snapshot carries no tier and restores into either.
 
 The codec is two-layered:
 
@@ -44,13 +45,14 @@ from repro.utils.serialize import pack, unpack, write_json_atomic
 
 #: Bump when the snapshot payload schema changes incompatibly.  A
 #: snapshot from another version never half-loads: :class:`MachineSnapshot`
-#: refuses it up front.  Version 2 added the chaos sources' schedules.
-SNAPSHOT_VERSION = 2
+#: refuses it up front.  Version 2 added the chaos sources' schedules;
+#: version 3 dropped the tier flag and the fast tier's address memo.
+SNAPSHOT_VERSION = 3
 
 #: Component sections of a snapshot's state (``chaos`` is optional).
 _STATE_SECTIONS = (
     "machine", "physmem", "fault_model", "dram", "caches", "tlb", "walker",
-    "policy", "ptm", "kernel", "addrmap", "metrics",
+    "policy", "ptm", "kernel", "metrics",
 )
 
 #: Sub-config dataclasses of :class:`MachineConfig`, keyed by field name
@@ -88,10 +90,10 @@ class MachineSnapshot:
 
     Wraps a JSON-safe payload dict::
 
-        {"version": 2, "machine": <config name>,
+        {"version": 3, "machine": <config name>,
          "config": <packed asdict(config)>,
          "config_fingerprint": <16-hex-char hash>,
-         "fast_path": bool, "state": <packed component trees>,
+         "state": <packed component trees>,
          "meta": {...caller extras, e.g. "boot_pid"...}}
 
     Construction validates the version; :meth:`ensure_matches` is the
@@ -112,7 +114,7 @@ class MachineSnapshot:
         self.payload = payload
 
     @classmethod
-    def capture(cls, config, fast_path, state, meta=None):
+    def capture(cls, config, state, meta=None):
         """Package component ``state_dict()`` trees into a snapshot.
 
         Called by ``Machine.snapshot()``; ``state`` is the raw tree of
@@ -124,7 +126,6 @@ class MachineSnapshot:
                 "machine": config.name,
                 "config": pack(asdict(config)),
                 "config_fingerprint": config_fingerprint(config),
-                "fast_path": bool(fast_path),
                 "state": pack(state),
                 "meta": dict(meta) if meta else {},
             }
@@ -146,11 +147,6 @@ class MachineSnapshot:
     def config_fingerprint(self):
         """Fingerprint of the captured machine's config (ledger hash)."""
         return self.payload["config_fingerprint"]
-
-    @property
-    def fast_path(self):
-        """Whether the captured machine ran the memoizing fast path."""
-        return self.payload["fast_path"]
 
     @property
     def meta(self):
@@ -179,23 +175,17 @@ class MachineSnapshot:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
-    def ensure_matches(self, config, fast_path):
+    def ensure_matches(self, config):
         """Raise :class:`SnapshotError` unless this snapshot fits a machine.
 
         The machine must be parameterised identically (config
-        fingerprint) and run the same access path — fast-path memo
-        state must never straddle the two paths.
+        fingerprint); its access-engine tier does not matter.
         """
         fingerprint = config_fingerprint(config)
         if fingerprint != self.config_fingerprint:
             raise SnapshotError(
                 "snapshot of %r (config %s) cannot restore into a machine "
                 "with config %s" % (self.machine_name, self.config_fingerprint, fingerprint)
-            )
-        if bool(fast_path) != self.fast_path:
-            raise SnapshotError(
-                "snapshot captured with fast_path=%s cannot restore into a "
-                "machine with fast_path=%s" % (self.fast_path, bool(fast_path))
             )
 
     # -- serialization ---------------------------------------------------
@@ -218,7 +208,7 @@ class MachineSnapshot:
             raise SnapshotError("snapshot is not valid JSON: %s" % exc)
         if not isinstance(payload, dict):
             raise SnapshotError("snapshot JSON must be an object")
-        for key in ("version", "machine", "config", "config_fingerprint", "fast_path", "state", "meta"):
+        for key in ("version", "machine", "config", "config_fingerprint", "state", "meta"):
             if key not in payload:
                 raise SnapshotError("snapshot JSON lacks the %r field" % key)
         for key in ("config", "state", "meta"):
@@ -263,7 +253,6 @@ class MachineSnapshot:
             "machine": self.machine_name,
             "config_fingerprint": self.config_fingerprint,
             "fingerprint": self.fingerprint(),
-            "fast_path": self.fast_path,
             "cycles": state["machine"]["cycles"],
             "processes": len(state["kernel"]["processes"]),
             "resident_frames": len(state["physmem"]["frames"]),

@@ -323,7 +323,7 @@ def bad_paths(tmp_path_factory):
     # wrong shape.
     (root / "bad-snapshot").write_text(json.dumps({
         "version": SNAPSHOT_VERSION, "machine": "tiny", "config": "abc",
-        "config_fingerprint": "0" * 16, "fast_path": True, "state": {},
+        "config_fingerprint": "0" * 16, "state": {},
         "meta": {},
     }))
     paths = {

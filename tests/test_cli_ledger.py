@@ -23,14 +23,14 @@ def _ledger_dir():
     return os.environ["REPRO_LEDGER_DIR"]
 
 
-def _tamper_baseline(host_seconds):
-    """Rewrite every recorded baseline's wall time to ``host_seconds``."""
+def _tamper_baseline(timing, value):
+    """Rewrite one timing of every recorded baseline to ``value``."""
     paths = glob.glob(os.path.join(_ledger_dir(), "*.json"))
     assert paths, "expected a recorded baseline to tamper with"
     for path in paths:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        payload["timings"]["host_seconds"] = host_seconds
+        payload["timings"][timing] = value
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
 
@@ -91,20 +91,28 @@ def test_bench_compare_passes_against_honest_baseline(capsys):
 
 
 def test_bench_compare_exits_nonzero_on_synthetic_slowdown(capsys):
-    """The acceptance bar: a timing regression must fail the command.
+    """The acceptance bar: a cost regression must fail the command.
 
-    Recording a real baseline and then rewriting its wall time to ~zero
-    makes any rerun look arbitrarily slower — a synthetic slow run that
-    must trip the tolerance check and exit nonzero.
+    Recording a real baseline and then rewriting its virtual cycles
+    (deterministic for the seed) to one makes the rerun arbitrarily
+    costlier — a synthetic slow run that must trip the tolerance check
+    and exit nonzero.  Raw host time is printed but never a
+    regression: a baseline whose wall time alone is ~zero still passes.
     """
     assert main(
         ["bench", "--only", "sec4d-tiny", "--record", "--baseline", "main"]
     ) == 0
     capsys.readouterr()
-    _tamper_baseline(1e-6)
+    _tamper_baseline("host_seconds", 1e-6)
+    assert main(["bench", "--only", "sec4d-tiny", "--compare", "main"]) == 0
+    captured = capsys.readouterr()
+    assert "0 regression(s)" in captured.err
+    assert "sec4d-tiny\ttime.host_seconds\t1e-06\t" in captured.out
+    _tamper_baseline("virtual_cycles", 1)
     assert main(["bench", "--only", "sec4d-tiny", "--compare", "main"]) == 3
     err = capsys.readouterr().err
-    assert "REGRESSED" in err and "time.host_seconds" in err
+    assert "REGRESSED" in err and "time.virtual_cycles" in err
+    assert "1 regression(s)" in err
 
 
 def test_bench_compare_tolerance_is_configurable(capsys):
@@ -113,7 +121,7 @@ def test_bench_compare_tolerance_is_configurable(capsys):
     ) == 0
     capsys.readouterr()
     # An absurdly generous tolerance forgives even the tampered baseline.
-    _tamper_baseline(1e-6)
+    _tamper_baseline("virtual_cycles", 1)
     assert main(
         ["bench", "--only", "sec4d-tiny", "--compare", "main",
          "--tolerance", "1e9"]
@@ -194,7 +202,7 @@ def test_bench_compare_stdout_is_machine_parseable(capsys):
         ["bench", "--only", "sec4d-tiny", "--record", "--baseline", "main"]
     ) == 0
     capsys.readouterr()
-    _tamper_baseline(1e-6)
+    _tamper_baseline("virtual_cycles", 1)
     assert main(["bench", "--only", "sec4d-tiny", "--compare", "main"]) == 3
     captured = capsys.readouterr()
     assert "REGRESSED" in captured.err  # human diff table on stderr
@@ -205,7 +213,8 @@ def test_bench_compare_stdout_is_machine_parseable(capsys):
     assert all(len(row) == 5 for row in rows)
     assert all(row[0] == "sec4d-tiny" for row in rows)
     regressed = [row for row in rows if row[4] == "REGRESSED"]
-    assert any(row[1] == "time.host_seconds" for row in regressed)
+    assert [row[1] for row in regressed] == ["time.virtual_cycles"]
+    assert any(row[1] == "time.host_seconds" and row[4] == "ok" for row in rows)
     # The recorded values round-trip through repr.
     assert float(regressed[0][2]) >= 0 and float(regressed[0][3]) >= 0
 
@@ -217,15 +226,16 @@ def test_bench_compare_gate_restricts_metrics(capsys):
         ["bench", "--only", "sec4d-tiny", "--record", "--baseline", "main"]
     ) == 0
     capsys.readouterr()
-    _tamper_baseline(1e-6)
-    # Ungated, the tampered host time regresses (see test above); gated
-    # to virtual-cycle metrics only, the same run passes.
+    _tamper_baseline("virtual_cycles", 1)
+    # Ungated, the tampered virtual cycles regress (see test above);
+    # gated to the counters only, the same run passes.
     assert main(
         ["bench", "--only", "sec4d-tiny", "--compare", "main",
-         "--gate", r"^time\.virtual_cycles$"]
+         "--gate", r"^counter\."]
     ) == 0
     captured = capsys.readouterr()
-    assert "time.host_seconds" not in captured.out
+    assert "time.virtual_cycles" not in captured.out
+    assert "counter.mem_uops_retired.all_loads" in captured.out
 
 
 # ----------------------------------------------------------------------

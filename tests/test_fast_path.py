@@ -1,16 +1,15 @@
 """The fast access path must be behaviourally invisible.
 
 ``Machine(fast_path=True)`` (the default) swaps in memoized address
-mappings, batched accesses, and accelerated cache/TLB internals —
-docs/PERFORMANCE.md documents the design.  The contract tested here is
+mappings, batched accesses, per-run page-table reads, and accelerated
+cache/TLB internals — docs/PERFORMANCE.md documents the design.  The contract tested here is
 exact equivalence with the reference engine: same virtual cycles, same
 trace events byte for byte, same metrics snapshot, same attack outcome,
 for the same seed.  Anything weaker would let a "performance" change
 silently alter the simulation's physics.
 
 Alongside the equivalence suites sit the unit tests for the pieces the
-fast path is made of: the :class:`~repro.machine.addrmap.AddressMap`
-memo and its generation-counter invalidation (driven by real
+fast path is made of: the per-run bulk read's table walks (under real
 page-table churn), the batched ``access_many`` entry point, and the
 packed-bitmask :class:`~repro.cache.policies.FastBitPLRU` policy.
 """
@@ -31,13 +30,7 @@ from repro.defenses.anvil import AnvilDetector
 from repro.errors import ConfigError, TransientFault
 from repro.kernel.pagetable import MappingError
 from repro.machine import AttackerView, Inspector, Machine
-from repro.machine.addrmap import (
-    ADDRMAP_MISS,
-    TIER_FAST,
-    TIER_REFERENCE,
-    AddressMap,
-    resolve_tier,
-)
+from repro.machine.addrmap import TIER_FAST, TIER_REFERENCE, resolve_tier
 from repro.machine.configs import tiny_test_config
 from repro.params import PAGE_SIZE
 from repro.patterns import compile_pattern, get
@@ -363,7 +356,7 @@ def _value_reads(fast, read, chaos=None, observed=False):
         "metrics": _metrics(machine),
         "events": _events(machine),
         "monitor": machine.monitor.log if observed else None,
-        "state": _state_without_addrmap(machine),
+        "state": machine.snapshot().state(),
     }
 
 
@@ -425,14 +418,6 @@ ANON_START = 0x3000_0000_0000 + 300 * PAGE_SIZE
 ANON_PAGES = 212 + 512 + 150
 
 
-def _state_without_addrmap(machine):
-    """Every snapshot component but the ``AddressMap``: the reference
-    tier never fills it, and on the fast tier its hits count runs."""
-    state = machine.snapshot().state()
-    del state["addrmap"]
-    return state
-
-
 def _policy_pair(defense, seed=4):
     """Reference and fast machines under one placement policy."""
     pair = []
@@ -460,7 +445,7 @@ def test_populate_by_table_matches_the_reference(defense):
     reference, fast = machines
     assert fast.kernel.page_fault_count == reference.kernel.page_fault_count
     assert fast.kernel.page_fault_count >= 6 * 512 + ANON_PAGES
-    assert _state_without_addrmap(fast) == _state_without_addrmap(reference)
+    assert fast.snapshot().state() == reference.snapshot().state()
 
 
 @pytest.mark.parametrize("planted_page", [5, 212, 400])
@@ -492,7 +477,7 @@ def test_populate_stops_at_a_planted_pte_on_both_tiers(planted_page):
     )
     reference, fast = machines
     assert fast.kernel.page_fault_count == reference.kernel.page_fault_count
-    assert _state_without_addrmap(fast) == _state_without_addrmap(reference)
+    assert fast.snapshot().state() == reference.snapshot().state()
 
 
 def test_populate_heals_a_page_already_marked_populated():
@@ -509,128 +494,83 @@ def test_populate_heals_a_page_already_marked_populated():
         machines.append(machine)
     reference, fast = machines
     assert fast.kernel.page_fault_count == reference.kernel.page_fault_count
-    assert _state_without_addrmap(fast) == _state_without_addrmap(reference)
+    assert fast.snapshot().state() == reference.snapshot().state()
 
 
-def test_bulk_read_counts_addrmap_hits_per_run():
-    """The fast tier's bulk read looks each consecutive 2 MiB run up
-    once: a spray scan hits the memo once per slot, not per page."""
+def _count_table_walks(machine):
+    """Count the ``l1pt_frame_of`` and ``lookup`` calls the bulk read
+    makes itself, leaving out those of the kernel's fault handler."""
+    calls = {"l1pt_frame_of": 0, "lookup": 0}
+    in_kernel = []
+    ptm, kernel = machine.ptm, machine.kernel
+
+    def counted(name):
+        walk = getattr(ptm, name)
+
+        def wrapper(*args):
+            if not in_kernel:
+                calls[name] += 1
+            return walk(*args)
+
+        return wrapper
+
+    handle_page_fault = kernel.handle_page_fault
+
+    def faulting(*args, **kwargs):
+        in_kernel.append(True)
+        try:
+            return handle_page_fault(*args, **kwargs)
+        finally:
+            in_kernel.pop()
+
+    ptm.l1pt_frame_of = counted("l1pt_frame_of")
+    ptm.lookup = counted("lookup")
+    kernel.handle_page_fault = faulting
+    return calls
+
+
+def test_bulk_read_walks_each_run_once_and_each_fault_once_more():
+    """The fast tier's bulk read resolves each consecutive 2 MiB run's
+    table once: a clean spray scan walks once per slot.  A slot whose
+    L1PT was dropped faults on every page, and each fault costs one
+    more table walk and no full ``lookup``."""
     machine = Machine(tiny_test_config(seed=4), fast_path=True)
-    spray = PageTableSpray(AttackerView(machine, machine.boot_process()), slots=4)
+    attacker = AttackerView(machine, machine.boot_process())
+    spray = PageTableSpray(attacker, slots=4)
     spray.execute()
-    assert spray.scan() == []  # fills the memo: one miss per slot
-    before = machine.addrmap.stats()
+    calls = _count_table_walks(machine)
     assert spray.scan() == []
-    after = machine.addrmap.stats()
-    assert after["hits"] - before["hits"] == 4
-    assert after["misses"] == before["misses"]
+    assert calls == {"l1pt_frame_of": 4, "lookup": 0}
+
+    machine.ptm.drop_l1pt(attacker.process.address_space.cr3, spray.slot_base(2))
+    faults = machine.kernel.page_fault_count
+    calls.update(l1pt_frame_of=0, lookup=0)
+    assert spray.scan() == []  # every page heals
+    faulted = machine.kernel.page_fault_count - faults
+    assert faulted == spray.pages_per_slot
+    assert calls == {"l1pt_frame_of": 4 + faulted, "lookup": 0}
 
 
 # ----------------------------------------------------------------------
-# AddressMap: the memo and its generation counters
+# page-table churn against the real kernel
 
 
-def test_addrmap_miss_is_a_distinct_sentinel():
-    memo = AddressMap()
-    assert memo.cached_l1pt(1, 0x200000) is ADDRMAP_MISS
-    assert ADDRMAP_MISS is not None
-
-
-def test_addrmap_store_then_hit():
-    memo = AddressMap()
-    memo.store_l1pt(1, 0x200000, 42)
-    # Any address in the same 2 MiB region hits the same entry.
-    assert memo.cached_l1pt(1, 0x200000 + 0x1FFFFF) == 42
-    assert memo.stats()["hits"] == 1
-    assert memo.stats()["misses"] == 1
-
-
-def test_addrmap_none_is_a_valid_cached_value():
-    """A region with no L1PT (superpage-mapped) caches ``None`` — which
-    must not be confused with a miss."""
-    memo = AddressMap()
-    memo.store_l1pt(1, 0x400000, None)
-    assert memo.cached_l1pt(1, 0x400000) is None
-    assert memo.cached_l1pt(1, 0x600000) is ADDRMAP_MISS
-
-
-def test_addrmap_generation_bump_invalidates_exactly_one_region():
-    memo = AddressMap()
-    memo.store_l1pt(1, 0x200000, 42)
-    memo.store_l1pt(1, 0x400000, 43)
-    generation = memo.region_generation(0x200000)
-    memo.note_l1pt_change(0x200000)
-    assert memo.region_generation(0x200000) == generation + 1
-    assert memo.cached_l1pt(1, 0x200000) is ADDRMAP_MISS  # stale
-    assert memo.cached_l1pt(1, 0x400000) == 43  # untouched region
-    assert memo.stats()["invalidations"] == 1
-
-
-def test_addrmap_invalidation_crosses_address_spaces():
-    """Generations are keyed by region only: churn under any CR3
-    invalidates that region for every address space (over-invalidation
-    is safe; a missed invalidation would not be)."""
-    memo = AddressMap()
-    memo.store_l1pt(1, 0x200000, 42)
-    memo.store_l1pt(2, 0x200000, 99)
-    memo.note_l1pt_change(0x200000)
-    assert memo.cached_l1pt(1, 0x200000) is ADDRMAP_MISS
-    assert memo.cached_l1pt(2, 0x200000) is ADDRMAP_MISS
-
-
-def test_addrmap_refill_after_invalidation_hits_again():
-    memo = AddressMap()
-    memo.store_l1pt(1, 0x200000, 42)
-    memo.note_l1pt_change(0x200000)
-    memo.store_l1pt(1, 0x200000, 77)  # re-resolved at the new generation
-    assert memo.cached_l1pt(1, 0x200000) == 77
-
-
-def test_addrmap_invalidate_all():
-    memo = AddressMap()
-    memo.store_l1pt(1, 0x200000, 42)
-    memo.invalidate_all()
-    assert memo.cached_l1pt(1, 0x200000) is ADDRMAP_MISS
-    assert memo.stats()["entries"] == 0
-
-
-def test_l1pt_frame_resolves_once_then_memoizes():
-    memo = AddressMap()
-    calls = []
-    frame = memo.l1pt_frame(1, 0x200000, lambda: calls.append(1) or 7)
-    assert frame == 7
-    assert memo.l1pt_frame(1, 0x200000, lambda: calls.append(1) or 8) == 7
-    assert len(calls) == 1
-
-
-# ----------------------------------------------------------------------
-# invalidation against the real kernel
-
-
-def test_page_table_churn_invalidates_the_machine_memo():
-    """Migrating or dropping a region's L1PT must invalidate exactly
-    that region's memo entry, and the next bulk read must re-resolve
-    to the correct (moved) table without changing observed values."""
+def test_bulk_read_follows_a_migrated_l1pt():
+    """After ``migrate_l1pt`` moves a region's table, the next bulk
+    read walks to the new table and reads the same values."""
     machine = Machine(tiny_test_config(seed=9), fast_path=True)
     attacker = AttackerView(machine, machine.boot_process())
     base = attacker.mmap(4, populate=True)
     attacker.write(base, 0xDEAD)
     cr3 = attacker.process.address_space.cr3
 
-    # Seed the memo through the batched-walk path.
     values = attacker.read_bulk([base, base + 4096])
-    cached = machine.addrmap.cached_l1pt(cr3, base)
-    assert cached is not ADDRMAP_MISS
-
+    old = machine.ptm.l1pt_frame_of(cr3, base)
     migrated = machine.ptm.migrate_l1pt(cr3, base)
-    assert migrated is not None
-    assert machine.addrmap.cached_l1pt(cr3, base) is ADDRMAP_MISS
+    assert migrated is not None and migrated != old
 
-    # Re-resolution lands on the *new* frame and reads are unchanged.
     assert attacker.read_bulk([base, base + 4096]) == values
-    refilled = machine.addrmap.cached_l1pt(cr3, base)
-    assert refilled is not ADDRMAP_MISS
-    assert refilled != cached
+    assert values[0] == 0xDEAD
     assert attacker.read(base) == 0xDEAD
 
 

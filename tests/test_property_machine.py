@@ -306,10 +306,12 @@ class ReferenceVsFast(RuleBasedStateMachine):
 
     @rule()
     def snapshot_and_restore(self):
-        """Continue each engine on a fresh machine of its own tier."""
+        """Both engines' snapshots are equal; continue each engine's
+        state on a fresh machine of the *other* tier."""
+        snaps = [machine.snapshot() for machine, _ in self.pair]
+        assert snaps[0].fingerprint() == snaps[1].fingerprint()
         restored = []
-        for machine, attacker in self.pair:
-            snap = machine.snapshot()
+        for (machine, attacker), snap in zip(self.pair, reversed(snaps)):
             fresh = Machine(
                 machine.config, trace=machine.trace, fast_path=machine.fast_path
             )

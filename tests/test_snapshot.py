@@ -5,8 +5,9 @@ byte-for-byte the machine that was captured.  Continuing both — the
 original and a restore into a fresh machine — must produce identical
 traces, cycle counts, metrics, and ground-truth bit flips, on either
 engine (``fast_path`` on or off) and under chaos page-table churn.
-Anything weaker would let warm-started engine runs drift from cold
-ones.
+Machine state is the same on both engines, so a snapshot of one
+restores into the other.  Anything weaker would let warm-started
+engine runs drift from cold ones.
 
 Alongside the equivalence suites sit unit tests for the pieces: the
 ``pack``/``unpack`` codec, the :class:`MachineSnapshot` container
@@ -105,8 +106,7 @@ def test_restore_then_hammer_is_byte_identical(fast):
 @pytest.mark.parametrize("profile,rounds", [("desktop", 30), ("server", 150)])
 def test_restore_under_chaos_churn_is_byte_identical(fast, profile, rounds):
     """Same contract with a chaos injector attached: the churn streams
-    (page-table migrations that invalidate the fast path's memos) and
-    the churn schedule are part of the state and must resume
+    (page-table migrations and drops) and the churn schedule are part of the state and must resume
     mid-stream.  ``server`` snapshots after its first churn (due at
     150,000 cycles), so a restore that forgot when the next one is due
     would churn on its first access."""
@@ -143,21 +143,24 @@ def test_snapshot_capture_does_not_perturb_the_machine():
 
 
 def test_env_gated_fast_path_round_trips(monkeypatch):
-    """REPRO_FAST_PATH=0/1 machines each round-trip through their own
-    snapshots; the two snapshots differ (the flag is part of the
-    payload, so they can never be confused)."""
-    fingerprints = {}
+    """REPRO_FAST_PATH=0/1 machines running the same steps take equal
+    snapshots, and each snapshot restores under the other tier."""
+    snaps = {}
     for value in ("0", "1"):
         monkeypatch.setenv("REPRO_FAST_PATH", value)
         machine = Machine(tiny_test_config(seed=3))
+        assert machine.fast_path is (value == "1")
         attacker = AttackerView(machine, machine.boot_process())
-        attacker.touch(attacker.mmap(4, populate=True))
-        snap = machine.snapshot()
-        assert snap.fast_path is (value == "1")
-        clone = Machine(tiny_test_config(seed=3)).restore(snap)
-        assert clone.snapshot().fingerprint() == snap.fingerprint()
-        fingerprints[value] = snap.fingerprint()
-    assert fingerprints["0"] != fingerprints["1"]
+        base = attacker.mmap(4, populate=True)
+        attacker.touch(base)
+        attacker.read_bulk([base + page * 4096 for page in range(4)])
+        snaps[value] = machine.snapshot()
+    assert snaps["0"].fingerprint() == snaps["1"].fingerprint()
+    for value, other in (("0", "1"), ("1", "0")):
+        monkeypatch.setenv("REPRO_FAST_PATH", other)
+        clone = Machine(tiny_test_config(seed=3)).restore(snaps[value])
+        assert clone.fast_path is (other == "1")
+        assert clone.snapshot().fingerprint() == snaps[value].fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -214,19 +217,34 @@ def test_malformed_json_is_refused():
                     "machine": "tiny-test",
                     "config": {},
                     "config_fingerprint": "0" * 16,
-                    "fast_path": True,
                     "meta": {},
                 }
             )
         )
 
 
-def test_restore_rejects_config_and_fast_path_mismatch():
+def test_restore_rejects_config_mismatch():
     snap = Machine(tiny_test_config(seed=1)).snapshot()
     with pytest.raises(SnapshotError, match="config"):
         Machine(tiny_test_config(seed=2)).restore(snap)
-    with pytest.raises(SnapshotError, match="fast_path"):
-        Machine(tiny_test_config(seed=1), fast_path=not snap.fast_path).restore(snap)
+
+
+def test_older_snapshot_version_is_refused(tmp_path, capsys):
+    """A version-2 file (it carried the tier flag and the fast tier's
+    address memo) is refused before anything reads its state, and
+    ``repro snapshot info`` says so in one ``repro:`` line."""
+    from repro.cli import main
+
+    payload = dict(Machine(tiny_test_config(seed=1)).snapshot().payload)
+    payload["version"] = 2
+    with pytest.raises(SnapshotError, match="version 2 not supported"):
+        MachineSnapshot.from_json(json.dumps(payload))
+    path = tmp_path / "v2.snap.json"
+    path.write_text(json.dumps(payload))
+    assert main(["snapshot", "info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("repro:") == 1 and "version 2" in captured.err
 
 
 def test_restore_rejects_chaos_presence_mismatch():
