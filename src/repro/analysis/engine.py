@@ -47,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import repro.analysis.warmstart as warmstart
 import repro.observe.stream as stream
 from repro.errors import ConfigError, TaskTimeout, WorkerDied
 from repro.observe import CycleHistogram, MetricsRegistry
@@ -154,34 +153,21 @@ def derive_seed(root_seed, *parts, bits=32):
 # ----------------------------------------------------------------------
 # Per-task machine observation
 
-#: Stack of active capture lists; ExperimentContext reports into it.
-_ACTIVE_CAPTURES = []
-
-#: Parallel stack of whole-machine capture lists (telemetry: flips,
-#: cycles, hammer-round latencies straight off the observed machines).
+#: Stack of active machine capture lists; ExperimentContext reports
+#: into it.
 _ACTIVE_MACHINES = []
 
 
-def observe_machine_metrics(registry):
-    """Register a machine's metrics registry with the running task.
+def observe_machine(machine):
+    """Register a machine with the running task.
 
     Called by ``ExperimentContext`` (and anything else that boots
-    machines inside ``run_task``); a no-op outside the engine.
+    machines inside ``run_task``); a no-op outside the engine.  After
+    the task finishes the engine merges the machine's metrics into the
+    task's snapshot and reads its ground-truth flip count, virtual
+    cycles, and always-on hammer-round spans, feeding the
+    streaming-telemetry pipeline (:mod:`repro.observe.stream`).
     """
-    for capture in _ACTIVE_CAPTURES:
-        capture.append(registry)
-
-
-def observe_machine(machine):
-    """Register a whole machine with the running task.
-
-    The superset of :func:`observe_machine_metrics`: besides the
-    metrics registry, the engine reads the machine's ground-truth flip
-    count, virtual cycles, and always-on hammer-round spans after the
-    task finishes, feeding the streaming-telemetry pipeline
-    (:mod:`repro.observe.stream`).  A no-op outside the engine.
-    """
-    observe_machine_metrics(machine.metrics)
     for capture in _ACTIVE_MACHINES:
         capture.append(machine)
 
@@ -294,14 +280,13 @@ def _execute_task(
     where available; a timed-out attempt raises
     :class:`~repro.errors.TaskTimeout` (not retryable).
 
-    Captured registries and machines are reset at each attempt, so a
-    retried task reports only its *successful* attempt's metrics and
-    telemetry — byte-identical to the same task succeeding first try.
+    Captured machines are reset at each attempt, so a retried task
+    reports only its *successful* attempt's metrics and telemetry —
+    byte-identical to the same task succeeding first try.
     (The task itself re-runs from its original derived seed; retrying
     never reseeds.)
     """
     started = time.time()
-    registries = []
     machines = []
     spent = 0
     error = None
@@ -309,12 +294,10 @@ def _execute_task(
     group = _task_group(task)
     if emitter is not None:
         emitter.heartbeat(task.key)
-    _ACTIVE_CAPTURES.append(registries)
     _ACTIVE_MACHINES.append(machines)
     try:
         while True:
-            del registries[:]  # drop captures from a failed attempt
-            del machines[:]
+            del machines[:]  # drop captures from a failed attempt
             restore = _alarm_scope(task_timeout)
             try:
                 data = spec.run_task(task, options)
@@ -327,14 +310,12 @@ def _execute_task(
                 if not capture_errors:
                     raise
                 data, error = None, "%s: %s" % (type(exc).__name__, exc)
-                del registries[:]  # a failed task reports no metrics
-                del machines[:]
+                del machines[:]  # a failed task reports no metrics
                 break
             finally:
                 if restore is not None:
                     restore()
     finally:
-        _ACTIVE_CAPTURES.pop()
         _ACTIVE_MACHINES.pop()
     if emitter is not None:
         flips, cycles, latency = _telemetry_observation(machines)
@@ -355,10 +336,10 @@ def _execute_task(
             % (spec.name, task.key, exc)
         )
     metrics = None
-    if registries:
+    if machines:
         merged = MetricsRegistry()
-        for registry in registries:
-            merged.merge_snapshot(registry.snapshot_values())
+        for machine in machines:
+            merged.merge_snapshot(machine.metrics.snapshot_values())
         metrics = merged.snapshot_values()
     return TaskOutcome(
         key=task.key,
@@ -560,9 +541,6 @@ class RunOutcome:
     metrics: MetricsRegistry
     failures: int = 0
     run_id: Optional[str] = None
-    #: ``{config_fingerprint: snapshot_fingerprint}`` when the run was
-    #: warm-started — which machine states every trial restored from.
-    warm_start: Optional[Dict[str, str]] = None
     #: The streaming-telemetry summary (:mod:`repro.observe.stream`)
     #: when the run had a telemetry session: rolling time-series,
     #: per-worker totals, per-config flip counters.
@@ -605,7 +583,6 @@ class RunOutcome:
                 "tasks_resumed": self.tasks_resumed,
                 "failures": self.failures,
                 "jobs": self.jobs,
-                "warm_start": self.warm_start,
             },
             extra={"telemetry": self.telemetry} if self.telemetry else {},
         )
@@ -625,7 +602,6 @@ def run_experiment(
     task_timeout=None,
     retries=2,
     retry_backoff=0.05,
-    warm_start=False,
     telemetry=None,
 ):
     """Execute an experiment through the engine; returns a RunOutcome.
@@ -667,13 +643,6 @@ def run_experiment(
     whole timeout-plus-retries envelope has its worker killed: either
     death is the task's :class:`~repro.errors.WorkerDied` error under
     ``keep_going``, and is raised otherwise.
-
-    ``warm_start=True`` boots each distinct machine config once in the
-    parent, snapshots the post-setup state
-    (:mod:`repro.analysis.warmstart`, docs/SNAPSHOTS.md), and has every
-    task restore instead of re-booting — results stay bit-identical to
-    a cold run at any ``jobs``; the snapshot fingerprints land in
-    ``RunOutcome.warm_start`` and the ledger record.
 
     ``telemetry`` (``True``, a spool-root path, or a
     :class:`~repro.observe.stream.TelemetrySession`) makes every worker
@@ -748,7 +717,7 @@ def run_experiment(
             session = stream.TelemetrySession(str(telemetry))
         # Must begin before any fork: pool workers inherit the armed
         # emitter configuration copy-on-write, exactly like the task
-        # handler and the warm-start snapshot cache.
+        # handler.
         session.begin(spec.name, total=total, jobs=effective_jobs)
 
     def _record(outcome):
@@ -773,13 +742,6 @@ def run_experiment(
             progress(finished, total, outcome)
         if session is not None:
             session.poll()
-
-    warm_primed = None
-    if warm_start:
-        # Prime before any fork so pool workers inherit the snapshot
-        # cache copy-on-write; nothing is pickled or shipped per task.
-        warm_primed = warmstart.prime_from_options(options)
-        warmstart.activate()
 
     handler = partial(
         _execute_task, spec, options,
@@ -809,8 +771,6 @@ def run_experiment(
             session.finish(completed=False)
         raise
     finally:
-        if warm_start:
-            warmstart.deactivate()
         if writer is not None:
             writer.close()
         if session is not None:
@@ -837,7 +797,6 @@ def run_experiment(
         host_seconds=time.time() - started,
         metrics=metrics,
         failures=failures,
-        warm_start=warm_primed,
     )
     if session is not None:
         run.telemetry = session.finish(completed=completed)

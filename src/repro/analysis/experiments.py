@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.analysis import engine as _engine
-from repro.analysis import warmstart
 from repro.analysis.engine import ExperimentSpec, Task, register_experiment
 from repro.analysis.report import render_series, render_table
 from repro.analysis.result import ExperimentResult
@@ -61,24 +60,11 @@ class ExperimentContext:
     aggregation — and, when a telemetry session is active, their flip
     counts and hammer-round latencies to the live stream —
     automatically.
-
-    Under an engine run with ``warm_start=True`` (and no explicit
-    placement policy — cached snapshots are captured under the stock
-    policy), the context restores the per-config post-boot snapshot
-    from :mod:`repro.analysis.warmstart` instead of re-running setup;
-    restored machines are byte-identical to cold-booted ones, metrics
-    included, so results cannot depend on the warm-start flag.
     """
 
     def __init__(self, config, policy=None):
-        snap = warmstart.lookup(config) if policy is None else None
-        if snap is not None:
-            self.machine = Machine(config).restore(snap)
-            process = self.machine.kernel.processes[snap.meta["boot_pid"]]
-        else:
-            self.machine = Machine(config, policy=policy)
-            process = self.machine.boot_process()
-        self.attacker = AttackerView(self.machine, process)
+        self.machine = Machine(config, policy=policy)
+        self.attacker = AttackerView(self.machine, self.machine.boot_process())
         self.inspector = Inspector(self.machine)
         self.facts = UarchFacts.from_config(config)
         _engine.observe_machine(self.machine)

@@ -20,7 +20,6 @@ Examples::
     python -m repro attack --machine tiny --defense catt --slots 1000
     python -m repro table1
     python -m repro figure3 --trials 60 --jobs 3
-    python -m repro table1 --jobs 4 --warm-start
     python -m repro snapshot save machine.snap.json --machine tiny
     python -m repro snapshot info machine.snap.json
     python -m repro table2 --jobs 4 --checkpoint table2.jsonl
@@ -119,12 +118,6 @@ def _engine_args(parser):
         default=2,
         help="in-place retries of retryable task faults (default: 2)",
     )
-    group.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="boot each machine config once and restore tasks from the "
-        "snapshot instead of re-booting (results are byte-identical)",
-    )
     _telemetry_args(group)
 
 
@@ -172,7 +165,6 @@ def _cmd_experiment(args):
         ledger=None if args.no_record else RunLedger(),
         task_timeout=args.task_timeout,
         retries=args.retries,
-        warm_start=args.warm_start,
         telemetry=session,
     )
     print(run.result.render())

@@ -780,8 +780,9 @@ class Machine:
         fault-model cell cache) are *not* captured; they re-warm
         identically after restore.  The state is the same on both
         tiers, so the snapshot restores into a machine of either.
-        ``meta`` is an optional JSON-safe dict stored verbatim (warm
-        start records the attacker's ``boot_pid`` there).
+        ``meta`` is an optional JSON-safe dict stored verbatim
+        (``repro snapshot save`` records the attacker's ``boot_pid``
+        there).
         """
         state = {
             "machine": {

@@ -22,8 +22,7 @@ The codec is two-layered:
 
 ``Machine.snapshot()`` / ``Machine.restore()`` / ``Machine.fork()``
 (:mod:`repro.machine.machine`) are the producing/consuming APIs; the
-``repro snapshot`` CLI group and the experiment engine's warm-start
-path are the main clients.
+``repro snapshot`` CLI group is the main client.
 """
 
 import hashlib
@@ -150,7 +149,7 @@ class MachineSnapshot:
 
     @property
     def meta(self):
-        """Caller-supplied extras (e.g. the warm-start ``boot_pid``)."""
+        """Caller-supplied extras (e.g. ``repro snapshot save``'s ``boot_pid``)."""
         return self.payload["meta"]
 
     def config(self):
@@ -166,9 +165,8 @@ class MachineSnapshot:
     def fingerprint(self):
         """Short stable hash of the canonical JSON form of the payload.
 
-        Run ledgers record this per warm-started run: trials restored
-        from the same fingerprint started from byte-identical machine
-        state.
+        Two snapshots with the same fingerprint hold byte-identical
+        machine state (``repro snapshot info`` prints it).
         """
         blob = json.dumps(
             self.payload, sort_keys=True, separators=(",", ":")

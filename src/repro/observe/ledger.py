@@ -188,7 +188,6 @@ class RunRecord:
         * ``time.*`` — the scalar timings;
         * ``phase.<name>.cycles`` — per-phase virtual-cycle costs;
         * ``counter.<name>`` — registry counters;
-        * ``hist.<name>.mean/p50/p95/p99`` — histogram summaries;
         * numeric ``outcome.*`` fields (booleans count as 0/1);
         * ``telemetry.*`` — the streaming-telemetry summary persisted
           in ``extra["telemetry"]`` (throughput and flip-rate
@@ -206,11 +205,6 @@ class RunRecord:
         snapshot = self.metrics or {}
         for name, value in snapshot.get("counters", {}).items():
             flat["counter.%s" % name] = value
-        for name, hist in snapshot.get("histograms", {}).items():
-            if hist.get("count"):
-                flat["hist.%s.mean" % name] = hist["total"] / hist["count"]
-            for p_name, p_value in (hist.get("percentiles") or {}).items():
-                flat["hist.%s.%s" % (name, p_name)] = p_value
         for key, value in self.outcome.items():
             if isinstance(value, bool):
                 flat["outcome.%s" % key] = int(value)

@@ -1,18 +1,14 @@
-"""Metrics registry: counters, histograms, and timers.
+"""Metrics registry (named counters) and the cycle-latency histogram.
 
-Three instrument types:
-
-* **counters** — monotonic named integers; the PMC emulation
-  (``dtlb_load_misses.miss_causes_a_walk`` etc.) lives here.
-* **histograms** — power-of-two-bucketed distributions for latencies
-  and costs; count/sum/min/max plus bucket counts, so percentilish
-  summaries cost O(64) memory regardless of sample count.
-* **timers** — context managers measuring a virtual-cycle span into a
-  histogram.
-
-All instruments are created on first use; names are free-form dotted
-strings (``"hammer.round_cycles"``).  A registry belongs to one
-machine (``machine.metrics``) but standalone use is fine too.
+* :class:`MetricsRegistry` — monotonic named integers, created on
+  first use; the PMC emulation
+  (``dtlb_load_misses.miss_causes_a_walk`` etc.) lives here.  Names
+  are free-form dotted strings.  A registry belongs to one machine
+  (``machine.metrics``) but standalone use is fine too.
+* :class:`CycleHistogram` — a power-of-two-bucketed distribution for
+  latencies and costs; count/sum/min/max plus bucket counts, so
+  percentilish summaries cost O(64) memory regardless of sample count.
+  The streaming telemetry uses it as its latency sketch.
 """
 
 from repro.errors import ConfigError
@@ -177,31 +173,11 @@ class CycleHistogram:
         )
 
 
-class _Timer:
-    """Context manager observing a clocked span into a histogram."""
-
-    __slots__ = ("_histogram", "_clock", "_start")
-
-    def __init__(self, histogram, clock):
-        self._histogram = histogram
-        self._clock = clock
-        self._start = 0
-
-    def __enter__(self):
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._histogram.observe(self._clock() - self._start)
-        return False
-
-
 class MetricsRegistry:
-    """Named counters and histograms with snapshot/delta support."""
+    """Named counters with snapshot/delta support."""
 
     def __init__(self):
         self._counters = {}
-        self._histograms = {}
         #: Bumped by :meth:`reset`; snapshots taken before a reset are
         #: recognisably stale (see ``Inspector.tlb_miss_delta``).
         self.generation = 0
@@ -220,107 +196,67 @@ class MetricsRegistry:
         """Copy of all counters."""
         return dict(self._counters)
 
-    # -- histograms ------------------------------------------------------
-
-    def observe(self, name, value):
-        """Fold a value into a histogram, creating it on first use."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = CycleHistogram()
-        histogram.observe(value)
-
-    def histogram(self, name):
-        """The histogram named ``name``, creating it empty on demand."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = CycleHistogram()
-        return histogram
-
-    def histograms(self):
-        """Mapping of all live histograms (shared objects, not copies)."""
-        return dict(self._histograms)
-
-    def timer(self, name, clock):
-        """Context manager timing a span of ``clock`` into ``name``."""
-        return _Timer(self.histogram(name), clock)
-
     # -- snapshots -------------------------------------------------------
 
     def snapshot_values(self):
-        """JSON-serialisable dump of every instrument.
+        """JSON-serialisable dump of every counter.
 
-        ``{"counters": {name: value}, "histograms": {name: histogram
-        snapshot}}`` — the unit the experiment engine collects from each
-        worker machine and folds into a run-level registry with
-        :meth:`merge_snapshot`.
+        ``{"counters": {name: value}, "histograms": {}}`` — the unit the
+        experiment engine collects from each worker machine and folds
+        into a run-level registry with :meth:`merge_snapshot`.  The
+        always-empty ``histograms`` key stays so that checkpoints,
+        ledger records, committed baselines and the benchmark's pinned
+        digests (``bench/expected.json``) keep their format.
 
         (Renamed from ``snapshot()`` so that name unambiguously means
         the machine-state protocol of docs/SNAPSHOTS.md.)
         """
-        return {
-            "counters": dict(self._counters),
-            "histograms": {
-                name: histogram.snapshot()
-                for name, histogram in self._histograms.items()
-            },
-        }
+        return {"counters": dict(self._counters), "histograms": {}}
 
     def merge_snapshot(self, snapshot):
-        """Fold a :meth:`snapshot` from another registry (or process) in.
+        """Fold another registry's :meth:`snapshot_values` in (any process).
 
-        Counters add; histograms merge count/total/min/max and bucket
-        counts.  Merging is associative and commutative, so any
-        aggregation order over a set of worker snapshots produces the
-        same run-level registry.
+        Counters add, so any aggregation order over a set of worker
+        snapshots produces the same run-level registry.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.inc(name, value)
-        for name, histogram_snapshot in snapshot.get("histograms", {}).items():
-            self.histogram(name).merge_snapshot(histogram_snapshot)
 
     # -- snapshot protocol (docs/SNAPSHOTS.md) ---------------------------
 
     def state_dict(self):
-        """Exact registry state, including the reset generation."""
+        """Exact registry state, including the reset generation.
+
+        The empty ``histograms`` section keeps snapshot files
+        byte-identical at ``SNAPSHOT_VERSION`` 3, whose format has it.
+        """
         return {
             "counters": dict(self._counters),
-            "histograms": {
-                name: histogram.state_dict()
-                for name, histogram in self._histograms.items()
-            },
+            "histograms": {},
             "generation": self.generation,
         }
 
     def load_state(self, state):
         """Restore state captured by :meth:`state_dict`."""
         self._counters = dict(state["counters"])
-        self._histograms = {}
-        for name, histogram_state in state["histograms"].items():
-            histogram = CycleHistogram()
-            histogram.load_state(histogram_state)
-            self._histograms[name] = histogram
         self.generation = state["generation"]
 
     # -- lifecycle -------------------------------------------------------
 
     def reset(self):
-        """Zero all instruments and invalidate earlier snapshots."""
+        """Zero all counters and invalidate earlier snapshots."""
         self._counters.clear()
-        self._histograms.clear()
         self.generation += 1
 
     def render(self):
-        """Plain-text dump of every instrument, sorted by name."""
+        """Plain-text dump of every counter, sorted by name."""
         lines = []
         for name in sorted(self._counters):
             lines.append("%-44s %12d" % (name, self._counters[name]))
-        for name in sorted(self._histograms):
-            lines.append("%-44s %s" % (name, self._histograms[name].summary()))
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
     def __repr__(self):
-        return "MetricsRegistry(counters=%d, histograms=%d, generation=%d)" % (
+        return "MetricsRegistry(counters=%d, generation=%d)" % (
             len(self._counters),
-            len(self._histograms),
             self.generation,
         )

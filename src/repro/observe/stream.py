@@ -178,7 +178,7 @@ def report_death(spool_dir, pid, key, seconds, group=None):
 
 #: Spool directory armed by the parent before its pool forks workers;
 #: they inherit it and lazily build their own emitter (same pattern as
-#: the engine's task handler and ``warmstart.activate``).
+#: the engine's task handler).
 _EMITTER_CONFIG = None
 _EMITTERS = {}
 

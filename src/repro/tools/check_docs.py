@@ -134,6 +134,12 @@ def _heading_anchors(text):
     return anchors
 
 
+#: Gitignored default root of runtime output (the run ledger, the
+#: telemetry spool, the campaign store).  Docs name paths under it that
+#: no checkout holds and that a local run may or may not have created.
+_RUNTIME_ROOT = ".repro"
+
+
 def _backtick_targets(text, root):
     """Backticked tokens that look like repo paths (first segment exists)."""
     top_level = set(os.listdir(root))
@@ -146,7 +152,7 @@ def _backtick_targets(text, root):
         first = token.split("/", 1)[0]
         # Only claim tokens rooted at a real top-level entry; anything
         # else (module paths, URLs fragments, flags) is prose.
-        if first not in top_level:
+        if first not in top_level or first == _RUNTIME_ROOT:
             continue
         targets.append(token.rstrip("/"))
     return targets

@@ -9,8 +9,8 @@ dead worker fails its item at once.  No worker outlives its parent: an
 idle one reads end of file on its pipe, and on Linux the kernel kills a
 busy one (``PR_SET_PDEATHSIG``).  Workers are forked, not spawned, so
 the handler may be any callable, closures included, and workers inherit
-state armed before the first fork (telemetry emitters, warm-start
-snapshots); only items and answers cross the pipe, and must pickle.
+state armed before the first fork (telemetry emitters); only items and
+answers cross the pipe, and must pickle.
 Owners fork from a single-threaded process.
 """
 

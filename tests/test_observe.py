@@ -227,14 +227,12 @@ def test_metrics_counters_and_histograms():
     registry.inc("walks", 2)
     assert registry.read("walks") == 3
     assert registry.read("never") == 0
-    registry.observe("lat", 4)
-    registry.observe("lat", 300)
-    histogram = registry.histogram("lat")
-    assert histogram.count == 2
-    assert histogram.minimum == 4 and histogram.maximum == 300
-    assert histogram.mean == 152.0
-    text = registry.render()
-    assert "walks" in text and "lat" in text
+    assert "walks" in registry.render()
+    # The registry keeps no histograms, but its snapshots keep the empty
+    # section, so checkpoints, ledger records and snapshot files keep
+    # their format.
+    assert registry.snapshot_values() == {"counters": {"walks": 3}, "histograms": {}}
+    assert registry.state_dict()["histograms"] == {}
 
 
 def test_histogram_buckets_are_powers_of_two():
@@ -247,14 +245,6 @@ def test_histogram_buckets_are_powers_of_two():
     assert histogram.bucket_bounds(9) == (256, 512)
     with pytest.raises(ConfigError):
         histogram.observe(-1)
-
-
-def test_metrics_timer_uses_clock():
-    registry = MetricsRegistry()
-    ticks = iter([10, 25])
-    with registry.timer("phase", lambda: next(ticks)):
-        pass
-    assert registry.histogram("phase").total == 15
 
 
 def test_machine_metrics_back_perf_counters(machine, attacker):
@@ -288,11 +278,9 @@ def test_histogram_snapshot_merge_round_trip():
 def test_registry_snapshot_merge_is_commutative():
     a = MetricsRegistry()
     a.inc("walks", 3)
-    a.observe("lat", 10)
     b = MetricsRegistry()
     b.inc("walks", 2)
     b.inc("loads", 1)
-    b.observe("lat", 500)
 
     ab = MetricsRegistry()
     ab.merge_snapshot(a.snapshot_values())
@@ -302,8 +290,6 @@ def test_registry_snapshot_merge_is_commutative():
     ba.merge_snapshot(a.snapshot_values())
     assert ab.snapshot_values() == ba.snapshot_values()
     assert ab.read("walks") == 5 and ab.read("loads") == 1
-    assert ab.histogram("lat").count == 2
-    assert ab.histogram("lat").maximum == 500
 
 
 # ----------------------------------------------------------------------

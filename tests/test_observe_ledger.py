@@ -89,8 +89,6 @@ def test_from_json_rejects_missing_fields():
 def test_comparable_metrics_flattening():
     registry = MetricsRegistry()
     registry.inc("loads", 10)
-    for value in (4, 8, 300):
-        registry.observe("lat", value)
     record = RunRecord.new(
         BENCHMARK_RUN,
         "toy",
@@ -104,8 +102,6 @@ def test_comparable_metrics_flattening():
     assert flat["time.virtual_cycles"] == 900
     assert flat["phase.hammer.cycles"] == 40
     assert flat["counter.loads"] == 10
-    assert flat["hist.lat.mean"] == pytest.approx(104.0)
-    assert "hist.lat.p95" in flat
     assert flat["outcome.flips"] == 3
     assert flat["outcome.escalated"] == 1
     assert "outcome.note" not in flat
@@ -209,6 +205,35 @@ def test_diff_reports_one_sided_metrics():
     diff = diff_records(before, after)
     assert "outcome.flips" in diff.only_before
     assert not diff.regressions()
+
+
+def test_ungated_bench_compare_never_counts_raw_seconds(tmp_path):
+    from repro.analysis.bench import BenchResult, compare_to_baseline
+
+    def result(fast_seconds, ratio):
+        return BenchResult(
+            name="hammer-loop",
+            title="toy",
+            host_seconds=1.0,
+            timings={
+                "reference_seconds": 1.0,
+                "fast_seconds": fast_seconds,
+                "fast_over_reference": ratio,
+            },
+        )
+
+    ledger = RunLedger(str(tmp_path))
+    ledger.record(result(0.01, 0.4).to_record(label="main"))
+
+    def regressed(current, gate=None):
+        comparison = compare_to_baseline(ledger, "main", [current], gate=gate)
+        return [delta.name for delta in comparison.regressions()]
+
+    # A raw timing 100x slower is printed but never regresses ungated;
+    # a gate that names it still gates it, and a ratio always counts.
+    assert regressed(result(1.0, 0.4)) == []
+    assert regressed(result(1.0, 0.4), gate="fast_seconds") == ["time.fast_seconds"]
+    assert regressed(result(0.01, 0.8)) == ["time.fast_over_reference"]
 
 
 def test_diff_metric_filter():

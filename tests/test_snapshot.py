@@ -6,13 +6,13 @@ original and a restore into a fresh machine — must produce identical
 traces, cycle counts, metrics, and ground-truth bit flips, on either
 engine (``fast_path`` on or off) and under chaos page-table churn.
 Machine state is the same on both engines, so a snapshot of one
-restores into the other.  Anything weaker would let warm-started
-engine runs drift from cold ones.
+restores into the other.  Anything weaker would let a restored
+``repro snapshot load`` or a forked trial drift from a fresh run.
 
 Alongside the equivalence suites sit unit tests for the pieces: the
 ``pack``/``unpack`` codec, the :class:`MachineSnapshot` container
-(versioning, JSON round trip, ``ensure_matches``), ``Machine.fork``
-semantics, and the engine's warm-start path.
+(versioning, JSON round trip, ``ensure_matches``), and ``Machine.fork``
+semantics.
 """
 
 import json
@@ -315,76 +315,6 @@ def test_fork_with_a_placement_policy_needs_a_fresh_instance():
         machine.fork()
     fork = machine.fork(policy=DEFENSE_PRESETS["catt"]())
     assert fork.cycles == machine.cycles
-
-
-# ----------------------------------------------------------------------
-# the engine's warm-start path
-
-
-@pytest.mark.slow
-def test_warm_started_engine_runs_match_cold_at_any_jobs():
-    """The tentpole acceptance check: a warm-started run renders the
-    same result and aggregates the same metrics as a cold run, serial
-    or pooled, and records which snapshots trials started from."""
-    import repro.analysis.warmstart as warmstart
-    from repro.analysis import run_experiment
-
-    warmstart.clear()
-    options = {"config_fns": (tiny_test_config,), "sizes": (8, 12), "trials": 10}
-
-    def view(run):
-        return (
-            run.result.render(),
-            json.dumps(run.metrics.snapshot_values(), sort_keys=True),
-        )
-
-    cold = run_experiment("figure3", dict(options))
-    warm = run_experiment("figure3", dict(options), warm_start=True)
-    pooled = run_experiment("figure3", dict(options), jobs=2, warm_start=True)
-
-    assert view(cold) == view(warm) == view(pooled)
-    assert cold.warm_start is None
-    assert warm.warm_start and pooled.warm_start == warm.warm_start
-    for config_print, snap_print in warm.warm_start.items():
-        assert len(config_print) == 16 and len(snap_print) == 16
-    assert warmstart.is_active() is False  # deactivated on the way out
-
-
-def test_warmstart_lookup_is_gated_and_cached():
-    import repro.analysis.warmstart as warmstart
-
-    warmstart.clear()
-    config = tiny_test_config(seed=12)
-    assert warmstart.lookup(config) is None  # inactive: always a miss
-    warmstart.activate()
-    try:
-        first = warmstart.lookup(config)
-        assert first is not None
-        assert warmstart.lookup(tiny_test_config(seed=12)) is first  # cached
-    finally:
-        warmstart.deactivate()
-        warmstart.clear()
-
-
-def test_warmstart_prime_reads_both_option_conventions():
-    import repro.analysis.warmstart as warmstart
-    from repro.observe.ledger import config_fingerprint
-
-    warmstart.clear()
-    try:
-        primed = warmstart.prime_from_options(
-            {
-                "config_fn": lambda: tiny_test_config(seed=1),
-                "config_fns": (lambda: tiny_test_config(seed=2),),
-            }
-        )
-        expected = {
-            config_fingerprint(tiny_test_config(seed=1)),
-            config_fingerprint(tiny_test_config(seed=2)),
-        }
-        assert set(primed) == expected
-    finally:
-        warmstart.clear()
 
 
 # ----------------------------------------------------------------------

@@ -116,6 +116,16 @@ def test_backtick_prose_is_not_claimed(tmp_path):
     assert check_docs.check_repository(root) == []
 
 
+def test_runtime_output_paths_are_not_claimed(tmp_path):
+    root = str(tmp_path)
+    # A local run creates the gitignored .repro/ tree; the docs naming
+    # its subdirectories must check the same with or without it.
+    _write(root, "README.md", "spools land in `.repro/telemetry/`\n")
+    assert check_docs.check_repository(root) == []
+    os.makedirs(os.path.join(root, ".repro", "runs"))
+    assert check_docs.check_repository(root) == []
+
+
 def test_main_exit_codes(tmp_path, capsys):
     root = str(tmp_path)
     _write(root, "README.md", "[bad](nope.md)\n")
