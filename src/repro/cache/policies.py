@@ -12,13 +12,6 @@ ablation benchmarks.
 """
 
 from repro.errors import ConfigError
-from repro.utils.rng import _GOLDEN, _MASK64
-
-# splitmix64 output-mix constants (see repro.utils.rng);
-# FastBitPLRU.evict_and_fill inlines the rng step with these.
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_TWO64 = float(1 << 64)
 
 
 class ReplacementPolicy:
@@ -383,9 +376,8 @@ class FastBitPLRU(BitPLRU):
 
     def evict_and_fill(self):
         # victim() + on_fill(way) fused; identical draws/transitions.
-        # This runs once per miss-with-eviction — the hottest policy
-        # transition — so the rng draws inline the splitmix64 step
-        # (same stream as DeterministicRng.randint/random).
+        # This runs once per miss-with-eviction, the hottest policy
+        # transition.
         rng = self._rng
         table = self._table
         mask = self._mask
@@ -393,25 +385,16 @@ class FastBitPLRU(BitPLRU):
             zero_ways = table[mask]
         else:
             zero_ways = [w for w in range(self.ways) if not (mask >> w) & 1]
-        rng._state = x = (rng._state + _GOLDEN) & _MASK64
-        x = (x + _GOLDEN) & _MASK64
-        x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-        x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-        draw = x ^ (x >> 31)
+        draw = rng.next_u64()  # reduced below as randint() would
         if zero_ways:
             way = zero_ways[draw % len(zero_ways)]
         else:
             way = draw % self.ways
         bit = 1 << way
         p = self.insertion_mru_probability
-        if p < 1.0:
-            rng._state = x = (rng._state + _GOLDEN) & _MASK64
-            x = (x + _GOLDEN) & _MASK64
-            x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-            x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-            if (x ^ (x >> 31)) / _TWO64 >= p:
-                self._mask = mask & ~bit
-                return way
+        if p < 1.0 and rng.random() >= p:
+            self._mask = mask & ~bit
+            return way
         if mask & bit:
             return way
         mask |= bit

@@ -654,7 +654,7 @@ def test_fast_policy_is_draw_identical(name):
             reference.on_invalidate(way)
             fast.on_invalidate(way)
         # Bit-identical draw streams, not merely equal results.
-        assert fast._rng._state == reference._rng._state
+        assert fast._rng.state_dict() == reference._rng.state_dict()
 
 
 def test_fast_setassoc_cache_is_state_identical():

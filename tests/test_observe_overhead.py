@@ -10,8 +10,13 @@ quantitative check is deterministic instead:
    giving the exact number of guard evaluations the attack performs;
 2. measure the real per-check cost of the guard pattern in a tight
    loop on a plain :class:`TraceBus`;
-3. assert ``checks x per-check`` stays under 5% of the measured attack
-   wall time.
+3. assert ``checks x per-check`` stays under 5% of the untraced
+   attack's time.
+
+The tight loop and the untraced attack are timed together through
+:func:`repro.analysis.bench._interleaved_best` (process time,
+interleaved, best of 3), the helper the gated benches use, so both
+sides of the ratio see the same host moment.
 
 A separate correctness check asserts the disabled path records
 literally nothing.
@@ -23,10 +28,9 @@ are measured on a real sampling bus in a tight loop, and the total
 must stay under 5% of the tracing-off attack time.
 """
 
-import time
-
 import pytest
 
+from repro.analysis.bench import _interleaved_best
 from repro.core import PThammerAttack, PThammerConfig
 from repro.machine import AttackerView, Machine
 from repro.machine.configs import tiny_test_config
@@ -63,50 +67,56 @@ class CountingBus(TraceBus):
             raise AssertionError("the counting bus must stay disabled")
 
 
-def _run_attack(trace=None):
+#: Iterations of the tight loops that price one guard and one emit.
+GUARD_ITERATIONS = 2_000_000
+EMIT_ITERATIONS = 300_000
+
+
+def _attack(trace=None):
+    """Boot a machine and return its attack, ready to time.
+
+    The returned callable runs the attack and returns
+    ``(machine, report)``; only it is timed, not the boot.
+    """
     machine = Machine(tiny_test_config(seed=3), trace=trace)
     attacker = AttackerView(machine, machine.boot_process())
-    start = time.perf_counter()
-    report = PThammerAttack(attacker, ATTACK).run()
-    elapsed = time.perf_counter() - start
-    return machine, report, elapsed
+    return lambda: (machine, PThammerAttack(attacker, ATTACK).run())
 
 
-def _per_check_seconds(iterations=2_000_000):
-    """Cost of one ``if bus.enabled:`` guard on the production bus."""
+def _guard_loop():
+    """``GUARD_ITERATIONS`` ``if bus.enabled:`` guards on the production bus."""
     bus = TraceBus()
     assert bus.enabled is False
-    start = time.perf_counter()
-    for _ in range(iterations):
-        if bus.enabled:
-            raise AssertionError("unreachable")
-    return (time.perf_counter() - start) / iterations
+
+    def loop():
+        for _ in range(GUARD_ITERATIONS):
+            if bus.enabled:
+                raise AssertionError("unreachable")
+
+    return loop
 
 
-def _per_emit_seconds(rates, iterations=300_000, repeats=3):
-    """Best-of-N cost of one guarded ``emit`` under ``rates``.
+def _emit_loop(rates):
+    """``EMIT_ITERATIONS`` guarded ``emit`` calls under ``rates``.
 
     ``rates={"*": 1e-9}`` measures the skip path (everything sampled
     out), ``rates={"*": 1.0}`` the keep path (event built and stored).
     """
-    best = None
-    for _ in range(repeats):
-        bus = TraceBus()
-        bus.enable()
-        bus.set_sampling(rates=rates, budgets={"*": 10**9})
-        start = time.perf_counter()
-        for _ in range(iterations):
+    bus = TraceBus()
+    bus.enable()
+    bus.set_sampling(rates=rates, budgets={"*": 10**9})
+
+    def loop():
+        for _ in range(EMIT_ITERATIONS):
             if bus.enabled:
                 bus.emit("dram.hit", "dram", addr=1)
-        elapsed = (time.perf_counter() - start) / iterations
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+
+    return loop
 
 
 @pytest.mark.overhead
 def test_disabled_tracing_records_nothing():
-    machine, report, _elapsed = _run_attack()
+    machine, report = _attack()()
     assert machine.trace.events == []
     assert machine.trace.dropped == 0
     # Spans still recorded: the report's timeline depends on them.
@@ -116,13 +126,13 @@ def test_disabled_tracing_records_nothing():
 @pytest.mark.overhead
 def test_disabled_guard_cost_is_under_five_percent():
     counting = CountingBus()
-    _machine, _report, counted_elapsed = _run_attack(trace=counting)
+    _attack(trace=counting)()
     assert counting.checks > 0, "the attack must exercise instrumented paths"
 
-    _machine2, _report2, plain_elapsed = _run_attack()
-    attack_seconds = min(counted_elapsed, plain_elapsed)
+    best, _ = _interleaved_best({"attack": _attack, "guard": _guard_loop})
+    attack_seconds = best["attack"]
 
-    guard_seconds = counting.checks * _per_check_seconds()
+    guard_seconds = counting.checks * best["guard"] / GUARD_ITERATIONS
     ratio = guard_seconds / attack_seconds
     assert ratio < 0.05, (
         "disabled-tracing guards cost %.2f%% of the attack "
@@ -141,20 +151,25 @@ def test_sampled_tracing_cost_is_under_five_percent():
     trace = TraceBus()
     trace.enable()
     trace.set_sampling(rates=SAMPLE_RATES, budgets=SAMPLE_BUDGETS)
-    _machine, report, sampled_elapsed = _run_attack(trace=trace)
+    _machine, report = _attack(trace=trace)()
     stats = trace.sampler.stats()
     assert stats["seen"] > 0, "the attack must emit events when enabled"
     assert stats["kept"] > 0, "1% sampling must keep a trace worth reading"
     assert report.timeline
 
-    _machine2, _report2, plain_elapsed = _run_attack()
-    attack_seconds = min(sampled_elapsed, plain_elapsed)
+    best, _ = _interleaved_best(
+        {
+            "attack": _attack,
+            "keep": lambda: _emit_loop({"*": 1.0}),
+            "skip": lambda: _emit_loop({"*": 1e-9}),
+        }
+    )
+    attack_seconds = best["attack"]
 
     skipped = stats["seen"] - stats["kept"]
     emit_seconds = (
-        stats["kept"] * _per_emit_seconds({"*": 1.0})
-        + skipped * _per_emit_seconds({"*": 1e-9})
-    )
+        stats["kept"] * best["keep"] + skipped * best["skip"]
+    ) / EMIT_ITERATIONS
     ratio = emit_seconds / attack_seconds
     assert ratio < 0.05, (
         "1%%-sampled tracing costs %.2f%% of the attack "
