@@ -29,11 +29,11 @@ Design points:
 * **Metrics** — machines booted inside a task report their metrics
   (:func:`observe_machine`); the run aggregates every task's snapshot.
 
-With ``jobs > 1`` tasks run on a :class:`~repro.utils.pool.WorkerPool`
-of forked workers that persist across tasks, so spec options may hold
-any callable; only task payloads and results must be picklable and
-JSON-serialisable.  Without ``fork`` the engine runs serially, with
-identical results.
+With ``jobs > 1``, or a task timeout, tasks run on a
+:class:`~repro.utils.pool.WorkerPool` of forked workers that persist
+across tasks, so spec options may hold any callable; only task payloads
+and results must be picklable and JSON-serialisable.  Without ``fork``
+the engine runs serially, with identical results.
 """
 
 import contextlib
@@ -41,16 +41,22 @@ import hashlib
 import json
 import multiprocessing
 import os
-import signal
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import repro.observe.stream as stream
-from repro.errors import ConfigError, TaskTimeout, WorkerDied
+from repro.errors import ConfigError, WorkerDied
 from repro.observe import CycleHistogram, MetricsRegistry
-from repro.utils.pool import DONE, RAISED, WorkerPool, backoff_delay, exit_reason
+from repro.utils.pool import (
+    DONE,
+    EXPIRED,
+    RAISED,
+    WorkerPool,
+    backoff_delay,
+    exit_reason,
+)
 from repro.utils.serialize import read_json_lines
 
 #: Bump when the checkpoint line format changes incompatibly.
@@ -236,36 +242,8 @@ class TaskOutcome:
     retries: int = 0
 
 
-def _alarm_scope(timeout):
-    """Arm a SIGALRM-based timeout; returns a restore callable.
-
-    A no-op (returns ``None``) where SIGALRM is unavailable (non-POSIX)
-    or off the main thread — in pooled runs the watchdog of
-    :func:`_run_pooled` is the backstop there.
-    """
-    if timeout is None or not hasattr(signal, "SIGALRM"):
-        return None
-    try:
-        old = signal.signal(
-            signal.SIGALRM,
-            lambda signum, frame: (_ for _ in ()).throw(
-                TaskTimeout("task exceeded %.1fs" % timeout)
-            ),
-        )
-    except ValueError:  # not the main thread
-        return None
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-
-    def restore():
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-    return restore
-
-
 def _execute_task(
-    spec, options, task, capture_errors=False, retries=0, retry_backoff=0.05,
-    task_timeout=None,
+    spec, options, task, capture_errors=False, retries=0, retry_backoff=0.05
 ):
     """Run one task, capturing metrics and canonicalising the data.
 
@@ -276,9 +254,6 @@ def _execute_task(
     from the task seed, so two runs back off alike); other exceptions
     — and a retryable one that exhausts its retries — propagate (or
     are captured when ``capture_errors``).
-    ``task_timeout`` bounds each *attempt* in host seconds via SIGALRM
-    where available; a timed-out attempt raises
-    :class:`~repro.errors.TaskTimeout` (not retryable).
 
     Captured machines are reset at each attempt, so a retried task
     reports only its *successful* attempt's metrics and telemetry —
@@ -298,7 +273,6 @@ def _execute_task(
     try:
         while True:
             del machines[:]  # drop captures from a failed attempt
-            restore = _alarm_scope(task_timeout)
             try:
                 data = spec.run_task(task, options)
                 break
@@ -312,9 +286,6 @@ def _execute_task(
                 data, error = None, "%s: %s" % (type(exc).__name__, exc)
                 del machines[:]  # a failed task reports no metrics
                 break
-            finally:
-                if restore is not None:
-                    restore()
     finally:
         _ACTIVE_MACHINES.pop()
     if emitter is not None:
@@ -359,38 +330,27 @@ def _task_group(task):
 
 
 def _run_pooled(
-    handler, pending, jobs, record, keep_going, watchdog, name, spool_dir=None
+    handler, pending, jobs, record, keep_going, task_timeout, name, spool_dir=None
 ):
     """Fan ``pending`` out over a :class:`WorkerPool`; ``record`` each outcome.
 
     ``handler`` runs one task in a worker.  A worker death fails its
-    task at once: captured as the task's error under ``keep_going``,
-    raised as :class:`~repro.errors.WorkerDied` otherwise, and with a
-    telemetry ``spool_dir`` reported there as the dead worker's failed
-    task (:func:`~repro.observe.stream.report_death`).  With a
-    ``watchdog``, a task still running that many host seconds after it
-    started has its worker killed, and that death is handled like any
-    other.
+    task at once, and so does a ``task_timeout``: the pool kills the
+    worker of a task still running that many host seconds after it
+    started.  Either failure is captured as the task's error under
+    ``keep_going``, raised as :class:`~repro.errors.WorkerDied`
+    otherwise, and with a telemetry ``spool_dir`` reported there as the
+    dead worker's failed task (:func:`~repro.observe.stream.report_death`).
     """
     queue = pending[::-1]
     running = {}  # key -> (task, worker pid, start time)
-    hung = set()  # keys whose worker the watchdog killed
     with WorkerPool(handler, jobs) as pool:
         while queue or running:
             while queue and len(running) < jobs:
                 task = queue.pop()
-                running[task.key] = (task, pool.submit(task.key, task), time.time())
-            timeout = None
-            if watchdog is not None:
-                now = time.time()
-                for key, (_, _, start) in running.items():
-                    if key not in hung and now - start >= watchdog:
-                        pool.kill(key)
-                        hung.add(key)
-                due = [start + watchdog - now
-                       for key, (_, _, start) in running.items() if key not in hung]
-                timeout = max(0.0, min(due)) if due else None
-            for key, kind, value in pool.wait(timeout):
+                pid = pool.submit(task.key, task, deadline=task_timeout)
+                running[task.key] = (task, pid, time.time())
+            for key, kind, value in pool.wait():
                 task, pid, started = running.pop(key)
                 if kind == DONE:
                     record(value)
@@ -401,12 +361,11 @@ def _run_pooled(
                     stream.report_death(
                         spool_dir, pid, key, time.time() - started, _task_group(task)
                     )
+                cause = exit_reason(value)
+                if kind == EXPIRED:
+                    cause = "killed at its %gs task timeout" % task_timeout
                 error = WorkerDied(
-                    "experiment %r task %r: worker %d %s" % (
-                        name, key, pid,
-                        "hung past the %.0fs watchdog and was killed" % watchdog
-                        if key in hung else exit_reason(value),
-                    )
+                    "experiment %r task %r: worker %d %s" % (name, key, pid, cause)
                 )
                 if not keep_going:
                     raise error
@@ -637,12 +596,14 @@ def run_experiment(
     :class:`~repro.errors.TransientFault`\\ s) under jittered
     exponential backoff starting at ``retry_backoff`` host seconds —
     these fire on every run, not only under ``--resume``, and land in
-    ``TaskOutcome.retries``.  ``task_timeout`` bounds each attempt in
-    host seconds (SIGALRM where available).  In pooled runs a worker
-    that dies fails its task at once, and a task that outlives the
-    whole timeout-plus-retries envelope has its worker killed: either
-    death is the task's :class:`~repro.errors.WorkerDied` error under
-    ``keep_going``, and is raised otherwise.
+    ``TaskOutcome.retries``.  ``task_timeout`` bounds each task in
+    host seconds, its retries and backoffs included: the worker pool
+    kills the worker of a task still running then, so with a timeout
+    even ``jobs=1`` runs its tasks on a one-worker pool (where ``fork``
+    is missing the engine runs serially, without a timeout).  A worker
+    that dies or is killed fails its task at once: the task's
+    :class:`~repro.errors.WorkerDied` error under ``keep_going``,
+    raised otherwise.
 
     ``telemetry`` (``True``, a spool-root path, or a
     :class:`~repro.observe.stream.TelemetrySession`) makes every worker
@@ -695,7 +656,10 @@ def run_experiment(
             )
 
     effective_jobs = max(1, min(jobs, len(pending))) if pending else 1
-    if "fork" not in multiprocessing.get_all_start_methods():
+    pooled = "fork" in multiprocessing.get_all_start_methods() and (
+        effective_jobs > 1 or task_timeout is not None
+    )
+    if not pooled:
         effective_jobs = 1
     outcomes_by_key = dict(done)
     finished = len(done)
@@ -748,18 +712,12 @@ def run_experiment(
         capture_errors=keep_going,
         retries=retries,
         retry_backoff=retry_backoff,
-        task_timeout=task_timeout,
-    )
-    # A task running for a full attempt envelope (every attempt plus
-    # every backoff, with slack) is stuck: its SIGALRM should have fired.
-    watchdog = None if task_timeout is None else (
-        task_timeout * (retries + 1) + retry_backoff * 2 ** (retries + 1) + 30.0
     )
     try:
-        if effective_jobs > 1:
+        if pooled:
             _run_pooled(
                 handler, pending, effective_jobs, _record, keep_going,
-                watchdog, spec.name,
+                task_timeout, spec.name,
                 spool_dir=session.spool_dir if session is not None else None,
             )
         else:

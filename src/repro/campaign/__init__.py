@@ -5,7 +5,7 @@ The campaign layer is the control plane for long-running studies: a
 machine presets × defenses × chaos profiles × patterns, sharded by
 seed; a :class:`~repro.campaign.supervisor.Supervisor` drives the
 compiled plan through persistent pool workers with retry, quarantine,
-liveness supervision, and graceful degradation; and every decision is
+per-attempt deadlines, and graceful degradation; and every decision is
 journaled to an append-only WAL so ``repro campaign resume`` after any
 crash — including ``kill -9`` — completes with byte-identical results.
 

@@ -1,7 +1,7 @@
 """Deterministic crash/fault injection for campaign recovery testing.
 
 The orchestrator's recovery paths — worker restarts, retry backoff,
-quarantine, journal-tail replay, liveness kills — are only trustworthy
+quarantine, journal-tail replay, deadline kills — are only trustworthy
 if they run in CI, not just in war stories.  This module is the
 harness: a :class:`FaultPlan` (plain data, embedded in the campaign
 spec under ``"faults"``) tells *workers* to die, hang, or go silent at
@@ -22,11 +22,11 @@ Fault kinds:
   the first N attempts die and the retry succeeds; with ``attempts:
   null`` every attempt dies — a poison shard the supervisor must
   quarantine.
-* ``hang``  — the worker stops heartbeating and sleeps, exercising
-  the supervisor's liveness kill.
+* ``hang``  — the worker stops heartbeating and sleeps until the
+  worker pool kills it at the attempt's ``liveness_timeout``.
 * ``drop-heartbeats`` — the worker does its work but emits no
-  heartbeats, exercising liveness handling against false positives
-  (the result file still proves the work happened).
+  heartbeats: a shard's fate rests on its result file and its
+  deadline, never on what reaches the spool.
 """
 
 import os
@@ -140,7 +140,7 @@ class FaultPlan:
 
         ``kill`` rules SIGKILL the calling process — callers must be
         campaign *workers*, never the supervisor.  ``hang`` rules sleep
-        (at the start point only); the supervisor's liveness watchdog
+        (at the start point only); the attempt's ``liveness_timeout``
         is expected to kill the worker long before the sleep ends.
         """
         for rule in self.rules:

@@ -18,6 +18,7 @@ the campaign root (the final results document).  See
 
 import itertools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
@@ -46,6 +47,44 @@ NO_PATTERN = "-"
 #: deterministic hammer probe (seconds vs milliseconds per shard — the
 #: probe is what CI smoke and the fault-injection tests run).
 WORKLOADS = ("attack", "probe")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+# Rules for spec values: (what a value must be, its test).
+_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_SECONDS = ("a finite number >= 0", lambda v: _is_number(v) and 0 <= v < math.inf)
+_NAMES = (
+    "a non-empty list of strings",
+    lambda v: isinstance(v, list) and v and all(isinstance(x, str) for x in v),
+)
+
+#: The ``attack`` knobs a spec may set, with the rule for each value.
+ATTACK_KNOBS = {
+    "workload": ("one of %s" % ", ".join(WORKLOADS), lambda v: v in WORKLOADS),
+    "slots": _COUNT,
+    "pairs": _COUNT,
+    "windows": ("a finite number > 0", lambda v: _is_number(v) and 0 < v < math.inf),
+    "cred_spray": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "superpages": ("true or false", lambda v: isinstance(v, bool)),
+    "probe_pages": _COUNT,
+    "probe_reads": _COUNT,
+}
+
+
+def _require(what, value, rule):
+    """Raise a ConfigError naming ``what`` unless ``value`` passes ``rule``."""
+    wanted, test = rule
+    if not test(value):
+        raise ConfigError(
+            "campaign spec %s must be %s, got %r" % (what, wanted, value)
+        )
 
 
 @dataclass(frozen=True)
@@ -85,12 +124,13 @@ class SupervisorConfig:
     max_attempts: int = 3
     #: Base of the exponential retry backoff, in host seconds.
     backoff: float = 0.25
-    #: A worker silent (no heartbeat, no result) for this long is
-    #: presumed hung and killed; must exceed the slowest shard.
+    #: Host seconds an attempt may run before the worker pool kills its
+    #: worker, failing the attempt as any death would (0: no limit);
+    #: must exceed the slowest shard.
     liveness_timeout: float = 60.0
     #: Longest the supervisor sleeps (host seconds, capped at 0.25)
-    #: before it checks control markers, signals and liveness; a
-    #: shard that ends wakes it at once.
+    #: before it checks control markers and signals; a shard that
+    #: ends, or reaches its liveness_timeout, wakes it at once.
     poll_interval: float = 0.05
     #: Seconds in-flight shards get to finish on pause/cancel before
     #: being killed (they re-run on resume; results are unaffected).
@@ -102,16 +142,11 @@ class SupervisorConfig:
     heartbeat_interval: float = 0.2
 
     def validate(self):
-        if self.jobs < 1:
-            raise ConfigError("campaign supervisor needs jobs >= 1")
-        if self.max_attempts < 1:
-            raise ConfigError("campaign supervisor needs max_attempts >= 1")
+        for name in ("jobs", "max_attempts", "degrade_after"):
+            _require("supervisor." + name, getattr(self, name), _COUNT)
         for name in ("backoff", "liveness_timeout", "poll_interval",
                      "grace", "heartbeat_interval"):
-            if getattr(self, name) < 0:
-                raise ConfigError("campaign supervisor %s must be >= 0" % name)
-        if self.degrade_after < 1:
-            raise ConfigError("campaign supervisor needs degrade_after >= 1")
+            _require("supervisor." + name, getattr(self, name), _SECONDS)
         return self
 
     def to_dict(self):
@@ -128,9 +163,8 @@ def _validate_pattern(name):
 class CampaignSpec:
     """The campaign matrix plus attack, supervision, and fault knobs.
 
-    ``attack`` is a plain dict of workload options (``workload``,
-    ``slots``, ``pairs``, ``windows``, ``cred_spray``, ``superpages``,
-    ``rounds``); ``faults`` is the optional fault-injection plan
+    ``attack`` is a plain dict of workload options, its keys drawn from
+    :data:`ATTACK_KNOBS`; ``faults`` is the optional fault-injection plan
     consumed by :mod:`repro.campaign.faultinject`.  Both stay plain
     JSON so the spec can be journaled verbatim and replayed.
     """
@@ -192,17 +226,15 @@ class CampaignSpec:
         return cls.from_dict(payload)
 
     def validate(self):
-        """Resolve every axis value eagerly; fail before any work runs."""
-        if not self.name or os.sep in str(self.name):
-            raise ConfigError("campaign spec needs a non-empty, slash-free name")
-        for axis, values in (
-            ("machines", self.machines),
-            ("defenses", self.defenses),
-            ("chaos", self.chaos),
-            ("patterns", self.patterns),
-        ):
-            if not values:
-                raise ConfigError("campaign spec axis %r is empty" % axis)
+        """Check every value's type and range, and resolve every axis
+        value eagerly; fail before any work runs."""
+        _require("name", self.name, (
+            "a non-empty, slash-free string",
+            lambda v: isinstance(v, str) and v and os.sep not in v,
+        ))
+        _require("seed", self.seed, ("an integer", _is_int))
+        for axis in ("machines", "defenses", "chaos", "patterns"):
+            _require(axis, getattr(self, axis), _NAMES)
         for machine in self.machines:
             if machine not in MACHINE_PRESETS:
                 raise ConfigError(
@@ -225,14 +257,16 @@ class CampaignSpec:
         for pattern in self.patterns:
             if pattern != NO_PATTERN:
                 _validate_pattern(pattern)
-        if self.shards_per_cell < 1:
-            raise ConfigError("campaign spec needs shards_per_cell >= 1")
-        workload = self.attack.get("workload", "attack")
-        if workload not in WORKLOADS:
+        _require("shards_per_cell", self.shards_per_cell, _COUNT)
+        _require("attack", self.attack, ("an object", lambda v: isinstance(v, dict)))
+        unknown = sorted(set(self.attack) - set(ATTACK_KNOBS))
+        if unknown:
             raise ConfigError(
-                "campaign spec workload %r is unknown (known: %s)"
-                % (workload, ", ".join(WORKLOADS))
+                "campaign spec attack has unknown keys: %s (known: %s)"
+                % (unknown, ", ".join(ATTACK_KNOBS))
             )
+        for name, value in self.attack.items():
+            _require("attack." + name, value, ATTACK_KNOBS[name])
         self.supervisor.validate()
         if self.faults is not None:
             from repro.campaign.faultinject import FaultPlan

@@ -13,8 +13,9 @@
 
 :class:`Supervisor` is the run loop: it hands ready shards to a
 :class:`~repro.utils.pool.WorkerPool` of persistent workers, reaps
-their outcomes, checks liveness against the telemetry spool, backs off
-and retries failures, quarantines poison shards, degrades parallelism
+their outcomes, kills attempts still running at their
+``liveness_timeout`` (the pool's per-item deadline), backs off and
+retries failures, quarantines poison shards, degrades parallelism
 when workers keep dying abnormally, and turns SIGTERM / SIGINT /
 control markers into a clean checkpoint-and-pause.  Every
 decision it makes is journaled *before* its effects matter, so a
@@ -42,8 +43,8 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.worker import load_result, worker_main
 from repro.errors import CampaignError, ConfigError
 from repro.observe.ledger import CAMPAIGN_RUN, RunLedger, RunRecord
-from repro.observe.stream import TelemetryAggregator, _append_line, report_death
-from repro.utils.pool import DIED, DONE, RAISED, WorkerPool, exit_reason
+from repro.observe.stream import _append_line, report_death
+from repro.utils.pool import DIED, DONE, EXPIRED, RAISED, WorkerPool, exit_reason
 from repro.utils.serialize import write_json_atomic
 
 #: Environment override for the campaigns root directory.
@@ -72,8 +73,8 @@ def _pid_alive(pid):
 
 def _tick(spec):
     """The longest the supervisor sleeps before it checks its control
-    markers, signals and worker liveness again: ``poll_interval``,
-    capped at 0.25 s.  A shard that ends wakes it at once."""
+    markers and signals again: ``poll_interval``, capped at 0.25 s.  A
+    shard that ends, or reaches its deadline, wakes it at once."""
     return max(0.001, min(spec.supervisor.poll_interval, 0.25))
 
 
@@ -306,7 +307,6 @@ class Supervisor:
         self.current_jobs = max(1, jobs)
         started = self.clock()
         self._announce_run(spec, plan)
-        aggregator = TelemetryAggregator(campaign.spool_dir, clock=self.clock)
         cells_done = set(folded["cells_done"])
         tick = _tick(spec)
 
@@ -322,10 +322,7 @@ class Supervisor:
         }
         try:
             while True:
-                now = self.clock()
-                aggregator.poll()
                 self._reap(ended, scheduler, plan, cells_done)
-                self._check_liveness(aggregator, spec, now)
                 self._poll_control()
                 if (
                     self.pause_after is not None
@@ -334,12 +331,12 @@ class Supervisor:
                 ):
                     self._stop_request = "pause"
                 if self._stop_request:
-                    return self._stop(scheduler, spec, aggregator)
+                    return self._stop(scheduler, spec)
                 if scheduler.settled():
                     return self._finish(
                         spec, plan, scheduler, started, no_record
                     )
-                self._launch(scheduler, now)
+                self._launch(scheduler)
                 ended = self.pool.wait(tick)
         finally:
             for signum, handler in previous.items():
@@ -374,7 +371,9 @@ class Supervisor:
 
     # -- workers ----------------------------------------------------------
 
-    def _launch(self, scheduler, now):
+    def _launch(self, scheduler):
+        now = self.clock()
+        deadline = self.spec.supervisor.liveness_timeout or None
         while len(self.inflight) < self.current_jobs:
             state = scheduler.next_ready(now)
             if state is None:
@@ -385,14 +384,17 @@ class Supervisor:
                 {"type": "shard-start", "key": shard.key, "attempt": attempt}
             )
             self.inflight[shard.key] = {
-                "pid": self.pool.submit(shard.key, (shard, attempt)),
+                "pid": self.pool.submit(
+                    shard.key, (shard, attempt), deadline=deadline
+                ),
                 "attempt": attempt,
                 "launched": now,
             }
 
     def _reap(self, ended, scheduler, plan, cells_done):
-        """Journal the shards that :meth:`WorkerPool.wait` saw end; a
-        dead worker's attempt also goes to the spool as a failed task."""
+        """Journal the shards that :meth:`WorkerPool.wait` saw end; the
+        attempt of a worker that died or was killed at its deadline also
+        goes to the spool as a failed task."""
         for key, kind, value in ended:
             entry = self.inflight.pop(key)
             shard = scheduler.states[key].shard
@@ -412,8 +414,12 @@ class Supervisor:
                 self.results[key] = result["data"]
                 self._maybe_finish_cell(plan, scheduler, key, cells_done)
                 continue
-            if kind == DIED:
+            if kind in (DIED, EXPIRED):
                 reason = exit_reason(value)
+                if kind == EXPIRED:
+                    reason = "killed at its %gs liveness_timeout" % (
+                        self.spec.supervisor.liveness_timeout
+                    )
                 if value < 0:  # a signal, not an exit
                     self.abnormal_deaths += 1
                 report_death(
@@ -451,23 +457,6 @@ class Supervisor:
             cells_done.add(cell.key)
             self.campaign.journal.append({"type": "cell-done", "cell": cell.key})
 
-    def _check_liveness(self, aggregator, spec, now):
-        """Kill the workers of shards silent beyond the liveness window.
-
-        Silence counts from the shard's launch or its worker's last
-        spool line, whichever is later: a worker's lines from earlier
-        shards say nothing about this one."""
-        timeout = spec.supervisor.liveness_timeout
-        if timeout <= 0:
-            return
-        for key, entry in self.inflight.items():
-            silence = now - entry["launched"]
-            spoken = aggregator.worker_silence(entry["pid"])
-            if spoken is not None:
-                silence = min(silence, spoken)
-            if silence > timeout:
-                self.pool.kill(key)
-
     def _maybe_degrade(self):
         """Halve parallelism after every ``degrade_after`` signal deaths.
 
@@ -491,7 +480,7 @@ class Supervisor:
 
     # -- endings ----------------------------------------------------------
 
-    def _stop(self, scheduler, spec, aggregator):
+    def _stop(self, scheduler, spec):
         """Honour a pause/cancel: grace-drain in-flight work, checkpoint."""
         request = self._stop_request
         deadline = self.clock() + spec.supervisor.grace
@@ -499,7 +488,6 @@ class Supervisor:
         cells_done = set()  # cell-done entries re-derive on resume
         while self.inflight and self.clock() < deadline:
             ended = self.pool.wait(min(tick, deadline - self.clock()))
-            aggregator.poll()
             self._reap(ended, scheduler, self.plan, cells_done)
         self._kill_inflight(scheduler)
         self.campaign.clear_control()

@@ -102,19 +102,11 @@ class PhaseBudgetExceeded(ReproError):
     """
 
 
-class TaskTimeout(ReproError):
-    """An experiment-engine task attempt exceeded its wall-clock timeout.
-
-    Raised inside the task via SIGALRM where the platform allows.  Not
-    retryable: a task that hangs once will usually hang again.
-    """
-
-
 class WorkerDied(ReproError):
     """A pooled experiment-engine worker died while running a task.
 
     The message names the task and the cause: a signal or exit code,
-    or the engine's watchdog killing a worker that hung.
+    or the task timeout at which the worker pool killed it.
     """
 
 

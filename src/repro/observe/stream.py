@@ -300,9 +300,8 @@ class SeriesBuckets:
 
 
 #: A worker is presumed dead after this many heartbeat intervals of
-#: silence (a display concern only: worker deaths are seen by the
-#: worker pool, hangs by the engine's task watchdog and the campaign
-#: supervisor's liveness check).
+#: silence (a display concern only: the worker pool sees deaths, and
+#: kills hung work at each item's deadline).
 LIVENESS_FACTOR = 3.0
 
 
@@ -511,21 +510,6 @@ class TelemetryAggregator:
             else:
                 status[pid] = "silent"
         return status
-
-    def worker_silence(self, pid):
-        """Seconds since ``pid``'s last spool line; ``None`` if never seen.
-
-        The campaign supervisor's liveness check: a worker that has
-        neither heartbeat nor task line for longer than its
-        ``liveness_timeout`` is presumed hung and killed.  ``None``
-        (no line yet) is not silence — a freshly forked worker hasn't
-        had a chance to speak, so callers should measure from launch
-        time instead.
-        """
-        worker = self.workers.get(pid)
-        if worker is None or worker["last_seen"] is None:
-            return None
-        return max(0.0, self.clock() - worker["last_seen"])
 
     def summary(self):
         """The JSON document persisted into ``RunRecord.extra``."""

@@ -5,9 +5,13 @@ items: each runs ``handler(item)`` for one item at a time, sent over its
 own pipe, and is replaced only after it dies or is killed.
 :meth:`WorkerPool.wait` wakes on answers and on deaths alike (pipes and
 process sentinels in one ``multiprocessing.connection.wait``), so a
-dead worker fails its item at once.  No worker outlives its parent: an
-idle one reads end of file on its pipe, and on Linux the kernel kills a
-busy one (``PR_SET_PDEATHSIG``).  Workers are forked, not spawned, so
+dead worker fails its item at once.  It also wakes for the earliest
+item deadline and kills the worker of an item past it: the pool is the
+only place either executor detects hung work, and a kill from outside
+stops even a handler stuck in a native call that never returns to the
+interpreter.  No worker outlives its parent: an idle one reads end of
+file on its pipe, and on Linux the kernel kills a busy one
+(``PR_SET_PDEATHSIG``).  Workers are forked, not spawned, so
 the handler may be any callable, closures included, and workers inherit
 state armed before the first fork (telemetry emitters); only items and
 answers cross the pipe, and must pickle.
@@ -18,6 +22,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import time
 from multiprocessing.connection import wait as wait_any
 
 from repro.errors import ReproError
@@ -25,8 +30,9 @@ from repro.utils.rng import hash_to_unit
 
 #: How an item ended: the handler returned (value: the result) or
 #: raised (value: the exception), or its worker died (value: the exit
-#: code, ``-N`` for signal N).
-DONE, RAISED, DIED = "done", "raised", "died"
+#: code, ``-N`` for signal N) or was killed at the item's deadline
+#: (value: that exit code).
+DONE, RAISED, DIED, EXPIRED = "done", "raised", "died", "expired"
 
 
 def backoff_delay(base, seed, attempt):
@@ -89,12 +95,13 @@ def _serve(handler, conn, parent_ends, parent_pid):
 
 
 class _Worker:
-    __slots__ = ("process", "conn", "token")
+    __slots__ = ("process", "conn", "token", "due")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         self.token = None  # names the item it runs, if any
+        self.due = None  # that item's deadline, in monotonic seconds
 
 
 class WorkerPool:
@@ -116,9 +123,11 @@ class WorkerPool:
     def __exit__(self, *exc_info):
         self.close()
 
-    def submit(self, token, item):
+    def submit(self, token, item, deadline=None):
         """Run ``handler(item)`` on an idle worker, forking one if none
-        is idle; returns its pid.  ``token`` names the item in :meth:`wait`."""
+        is idle; returns its pid.  ``token`` names the item in :meth:`wait`.
+        An item still running ``deadline`` host seconds from now has its
+        worker killed, and :meth:`wait` reports it :data:`EXPIRED`."""
         worker = next((w for w in self._workers if w.token is None), None)
         if worker is None:
             if len(self._workers) >= self.jobs:
@@ -138,8 +147,9 @@ class WorkerPool:
             worker.conn.send(item)
         except OSError:  # it died while idle
             self._reap(worker)
-            return self.submit(token, item)
+            return self.submit(token, item, deadline)
         worker.token = token
+        worker.due = None if deadline is None else time.monotonic() + deadline
         return worker.process.pid
 
     def _reap(self, worker):
@@ -150,19 +160,30 @@ class WorkerPool:
         return worker.process.exitcode
 
     def wait(self, timeout=None):
-        """Block until a busy worker answers or dies, or ``timeout`` host
-        seconds pass (with nothing in flight, just sleep ``timeout``).
+        """Block until a busy worker answers or dies, an item's deadline
+        passes, or ``timeout`` host seconds pass (with nothing in flight,
+        just sleep ``timeout``).
 
         Returns ``[(token, kind, value)]`` for every item that ended,
-        ``kind`` being :data:`DONE`, :data:`RAISED` or :data:`DIED`.
+        ``kind`` being :data:`DONE`, :data:`RAISED`, :data:`DIED` or
+        :data:`EXPIRED`.  The worker of an expired item is killed here;
+        like a dead one, it is replaced at the next :meth:`submit`.
         """
         busy = [w for w in self._workers if w.token is not None]
+        dues = [w.due for w in busy if w.due is not None]
+        if dues:
+            left = max(0.0, min(dues) - time.monotonic())
+            timeout = left if timeout is None else min(timeout, left)
         ready = set(
             wait_any([w.conn for w in busy] + [w.process.sentinel for w in busy], timeout)
         )
+        now = time.monotonic()
         ended = []
         for worker in busy:
             if ready.isdisjoint((worker.conn, worker.process.sentinel)):
+                if worker.due is not None and now >= worker.due:
+                    worker.process.kill()
+                    ended.append((worker.token, EXPIRED, self._reap(worker)))
                 continue
             token, worker.token = worker.token, None
             try:

@@ -262,7 +262,8 @@ def test_dropped_heartbeats_do_not_fail_a_fast_worker():
             faults={"rules": [{"kind": "drop-heartbeats", "attempts": 1}]}
         )
     )
-    # the result file proves the work happened; silence alone is not failure
+    # a shard is done by its result file within its deadline; the spool
+    # only feeds the dashboard, so heartbeats it never sent decide nothing
     assert state == COMPLETED
     assert json.loads(results_bytes(campaign))["totals"]["done"] == 4
 

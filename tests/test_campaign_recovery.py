@@ -266,3 +266,37 @@ def test_hung_worker_is_liveness_killed_and_retried():
     hung_key = [key for key in folded["shards"] if key.endswith("s=0")][0]
     assert folded["shards"][hung_key]["failed"] == 1
     assert folded["shards"][hung_key]["status"] == "done"
+
+
+def test_heartbeating_shard_is_killed_at_its_liveness_timeout():
+    # Probe shards heartbeat once per batch, so a worker that never
+    # stops speaking is no proof of progress: each attempt still ends
+    # at its deadline, fails like a SIGKILL, and counts toward
+    # degrade_after.
+    spec = make_spec(
+        shards_per_cell=2,
+        attack={"workload": "probe", "probe_reads": 10**7},
+        supervisor={
+            "jobs": 2,
+            "max_attempts": 1,
+            "degrade_after": 1,
+            "poll_interval": 0.01,
+            "heartbeat_interval": 0.05,
+            "liveness_timeout": 1.0,
+            "backoff": 0.01,
+            "grace": 1.0,
+        },
+    )
+    campaign = Campaign.create(spec, campaign_id="busy")
+    started = time.time()
+    state = Supervisor(campaign).run(no_record=True)
+    assert time.time() - started < 10.0
+    assert state == DEGRADED
+    report = json.load(open(campaign.quarantine_path))
+    assert len(report["quarantined"]) == 2
+    for row in report["quarantined"]:
+        assert row["attempts"] == 1
+        assert "1s liveness_timeout" in row["reason"]
+    folded = campaign.folded()
+    assert all(s["failed"] == 1 for s in folded["shards"].values())
+    assert folded["jobs"] == 1  # the first kill halved parallelism

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -129,6 +130,15 @@ def test_fault_plan_validation():
         FaultPlan.from_dict({"rules": [{"kind": "kill", "point": "end"}]})
     with pytest.raises(ConfigError, match="unknown keys"):
         FaultPlan.from_dict({"rules": [], "extra": 1})
+
+
+def test_every_spec_in_the_campaign_docs_loads():
+    docs = os.path.join(os.path.dirname(REPO_SRC), "docs", "CAMPAIGNS.md")
+    with open(docs, encoding="utf-8") as handle:
+        blocks = re.findall(r"```json\n(.*?)```", handle.read(), re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        CampaignSpec.from_dict(json.loads(block))
 
 
 _DRAW_SCRIPT = """

@@ -113,6 +113,48 @@ def test_bad_spec_and_unknown_campaign_are_clean_errors(tmp_path, capsys):
         assert "no campaign" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"shards_per_cell": "2"}, id="shards-as-string"),
+        pytest.param({"name": 5}, id="name-as-number"),
+        pytest.param({"seed": "7"}, id="seed-as-string"),
+        pytest.param({"machines": [["tiny"]]}, id="nested-axis"),
+        pytest.param({"attack": [1, 2]}, id="attack-as-list"),
+        pytest.param(
+            {"attack": {"workload": "probe", "probe_reads": "many"}},
+            id="probe-reads-as-string",
+        ),
+        pytest.param(
+            {"attack": {"workload": "attack", "slots": -5}}, id="negative-slots"
+        ),
+        pytest.param(
+            {"attack": {"workload": "probe", "probe_read": 10}},
+            id="misspelled-attack-knob",
+        ),
+        pytest.param(
+            {"supervisor": {"liveness_timeout": "abc"}}, id="timeout-as-string"
+        ),
+        pytest.param({"supervisor": {"jobs": 1.5}}, id="fractional-jobs"),
+    ],
+)
+def test_mistyped_spec_exits_2_before_any_campaign_exists(
+    tmp_path, capsys, overrides
+):
+    path = write_spec(tmp_path)
+    with open(path) as handle:
+        payload = json.load(handle)
+    payload.update(overrides)
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+    assert main(["campaign", "submit", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: campaign spec ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "campaigns").exists()
+
+
 def test_duplicate_submit_id_is_rejected(tmp_path, capsys):
     spec = write_spec(tmp_path)
     assert main(["campaign", "submit", "--no-run", "--id", "dup", spec]) == 0

@@ -1,11 +1,13 @@
 """Engine self-healing: in-place retries, timeouts, resume interplay."""
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
 from repro.analysis.engine import ExperimentSpec, Task, run_experiment
-from repro.errors import TaskTimeout, TransientFault
+from repro.errors import TransientFault, WorkerDied
 
 
 def _spec(run_task, keys=("a", "b", "c"), defaults=None):
@@ -118,24 +120,40 @@ def test_retry_counts_survive_checkpoint_roundtrip(tmp_path):
     assert by_key["c"] == 1
 
 
-def test_serial_task_timeout_aborts_the_attempt():
-    import time
-
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_task_timeout_kills_a_task_stuck_in_one_c_call(jobs, tmp_path):
+    # A task inside one long C call never returns to the interpreter,
+    # so nothing in its own process can stop it on time; the worker
+    # pool kills its worker at the deadline, at any jobs.
     def stuck(task, options):
         if task.key == "b":
-            time.sleep(30)
+            sum(range(3 * 10**8))  # one C call of several seconds
         return task.key
 
+    checkpoint = tmp_path / "run.jsonl"
+    started = time.time()
     outcome = run_experiment(
-        _spec(stuck), task_timeout=0.2, keep_going=True
+        _spec(stuck), jobs=jobs, task_timeout=0.5, keep_going=True,
+        checkpoint=str(checkpoint), telemetry=str(tmp_path / "telemetry"),
     )
-    assert not outcome.completed
+    assert time.time() - started < 5.0
     failed = next(o for o in outcome.outcomes if o.key == "b")
-    assert failed.error is not None and "TaskTimeout" in failed.error
-    assert failed.retries == 0  # timeouts are not retryable
+    assert 0.5 <= failed.host_seconds < 2.0
+    assert failed.error.startswith("WorkerDied: ")
+    assert "0.5s task timeout" in failed.error
+    assert not outcome.completed and outcome.failures == 1
+    # Handled as any worker death: kept out of the checkpoint, and
+    # written to the spool as the dead worker's failed task.
+    records = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+    assert [r["key"] for r in records if r["kind"] == "task"] == ["a", "c"]
+    assert (outcome.telemetry["totals"]["tasks"],
+            outcome.telemetry["totals"]["errors"]) == (3, 1)
+    assert multiprocessing.active_children() == []
 
-    with pytest.raises(TaskTimeout):
-        run_experiment(_spec(stuck), task_timeout=0.2)
+    started = time.time()
+    with pytest.raises(WorkerDied, match="task timeout"):
+        run_experiment(_spec(stuck), jobs=jobs, task_timeout=0.5)
+    assert time.time() - started < 5.0
 
 
 def test_retried_task_reports_only_the_successful_attempts_metrics():

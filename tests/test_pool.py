@@ -6,7 +6,7 @@ import signal
 import time
 
 from repro.errors import ReproError, TransientFault
-from repro.utils.pool import DIED, DONE, RAISED, WorkerPool, exit_reason
+from repro.utils.pool import DIED, DONE, EXPIRED, RAISED, WorkerPool, exit_reason
 
 
 def _drain(pool, pending, deadline):
@@ -100,3 +100,32 @@ def test_kill_reports_the_death_and_exit_reason_names_the_signal():
     assert (token, kind) == ("hung", DIED)
     assert exit_reason(value) == "killed by signal 9 (SIGKILL)"
     assert exit_reason(1) == "exited with code 1"
+
+
+def test_an_item_past_its_deadline_expires_and_its_worker_is_replaced():
+    # One worker sleeps far past its item's deadline while the other
+    # runs an item that has none: the late item is reported expired
+    # soon after its deadline, its worker is gone, and the pool forks
+    # a fresh worker for the next item.
+    with WorkerPool(_sleep, jobs=2) as pool:
+        started = time.time()
+        stuck = pool.submit("stuck", 60, deadline=0.5)
+        pool.submit("quick", 0.2)
+        ended = {}
+        while len(ended) < 2:
+            assert time.time() - started < 30, ended
+            for token, kind, value in pool.wait(30.0):
+                ended[token] = (kind, value, time.time() - started)
+        assert ended["quick"][:2] == (DONE, 0.2)
+        assert ended["stuck"][:2] == (EXPIRED, -signal.SIGKILL)
+        assert 0.5 <= ended["stuck"][2] < 2.0
+        assert stuck not in [child.pid for child in multiprocessing.active_children()]
+        # Two more items: one on the idle worker, one on a fresh fork.
+        pids = {pool.submit(token, 0, deadline=30.0) for token in ("x", "y")}
+        assert len(pids) == 2 and stuck not in pids
+        ended = []
+        while len(ended) < 2:
+            assert time.time() - started < 60, ended
+            ended += pool.wait(30.0)
+        assert sorted(ended) == [("x", DONE, 0), ("y", DONE, 0)]
+    assert multiprocessing.active_children() == []
