@@ -48,15 +48,7 @@ from repro.analysis.experiments import (
     Table1Result,
     Table2Result,
 )
-from repro.analysis.figures import ascii_chart, figure5_chart, sweep_chart
-from repro.analysis.export import (
-    to_csv_string,
-    write_defense_matrix_csv,
-    write_figure5_csv,
-    write_figure6_csv,
-    write_sweep_csv,
-    write_table2_csv,
-)
+from repro.analysis.figures import ascii_chart, sweep_chart
 from repro.analysis.profile import (
     PhaseProfile,
     ProfileResult,
@@ -129,7 +121,6 @@ __all__ = [
     "read_trace_jsonl",
     "write_trace_jsonl",
     "eviction_set_congruence",
-    "figure5_chart",
     "flips_by_row_range",
     "flips_vs_threshold",
     "ascii_chart",
@@ -143,10 +134,4 @@ __all__ = [
     "spray_contiguity",
     "sweep_chart",
     "sweep_parameter",
-    "to_csv_string",
-    "write_defense_matrix_csv",
-    "write_figure5_csv",
-    "write_figure6_csv",
-    "write_sweep_csv",
-    "write_table2_csv",
 ]

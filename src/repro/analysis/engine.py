@@ -23,9 +23,12 @@ Design points:
   trip even when no checkpoint is written, so resumed and uninterrupted
   runs cannot diverge on representation (e.g. int vs str dict keys).
 * **Checkpoints** — with ``checkpoint=PATH`` every finished task is
-  streamed to a JSONL file as it completes; ``resume=True`` skips the
-  tasks already on disk, and a torn final line (a killed run) is
-  ignored, so resuming after a crash is always safe.
+  appended, fsynced, to a log in the campaign journal's format
+  (:mod:`repro.utils.serialize`) as it completes; ``resume=True`` skips
+  the tasks already on disk.  An entry counts once its newline is on
+  disk: the unterminated tail a killed run leaves is skipped, and the
+  resumed run's first append cuts it off, so resuming after a crash is
+  always safe.
 * **Metrics** — machines booted inside a task report their metrics
   (:func:`observe_machine`); the run aggregates every task's snapshot.
 
@@ -57,10 +60,7 @@ from repro.utils.pool import (
     backoff_delay,
     exit_reason,
 )
-from repro.utils.serialize import read_json_lines
-
-#: Bump when the checkpoint line format changes incompatibly.
-CHECKPOINT_VERSION = 1
+from repro.utils.serialize import append_entry, replay_entries
 
 
 # ----------------------------------------------------------------------
@@ -398,48 +398,30 @@ def _fingerprint(spec_name, tasks):
 def load_checkpoint(path):
     """Read a checkpoint: ``(header, {key: record})``.
 
-    A torn final line (a killed run) is ignored; a corrupt line with
-    intact lines after it means the file was damaged, and skipping it
-    would make ``--resume`` recompute or mis-merge work that looked
-    recorded (:func:`~repro.utils.serialize.read_json_lines`).  That
-    case raises a :class:`ConfigError` naming the file and line, as does
-    an unusable header.
+    ``header`` is the ``experiment-created`` entry and each record a
+    ``task-done`` entry.  The unterminated tail a killed run leaves is
+    skipped; a damaged committed line would make ``--resume`` recompute
+    or mis-merge work that looked recorded, so it raises a
+    :class:`ConfigError` naming the file and line
+    (:func:`~repro.utils.serialize.replay_entries`), as does a
+    checkpoint with no header.
     """
     header = None
     records = {}
-    damaged = lambda number: ConfigError(
-        "checkpoint %s line %d is corrupt (not valid JSON) but is "
-        "followed by intact lines; the file was damaged after "
-        "writing — restore it or rerun without --resume" % (path, number)
-    )
-    for _, entry in read_json_lines(path, damaged):
-        if entry.get("kind") == "header":
+    for entry in replay_entries(path, "checkpoint", ConfigError):
+        if entry.get("type") == "experiment-created":
             header = entry
-        elif entry.get("kind") == "task" and "key" in entry and "data" in entry:
+        elif (
+            entry.get("type") == "task-done"
+            and isinstance(entry.get("key"), str)
+            and "data" in entry
+        ):
             records[entry["key"]] = entry
     if header is None:
-        raise ConfigError("checkpoint %s has no header line" % path)
-    if header.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(
-            "checkpoint %s is version %r; this engine writes version %d"
-            % (path, header.get("version"), CHECKPOINT_VERSION)
+            "checkpoint %s has no header (experiment-created) line" % path
         )
     return header, records
-
-
-class _CheckpointWriter:
-    """Streams header and task lines to a JSONL file, flushing each."""
-
-    def __init__(self, path, append):
-        self._handle = open(path, "a" if append else "w", encoding="utf-8")
-
-    def write(self, kind, **fields):
-        fields["kind"] = kind
-        self._handle.write(json.dumps(fields, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def close(self):
-        self._handle.close()
 
 
 def _load_resume_state(path, spec, tasks):
@@ -569,11 +551,12 @@ def run_experiment(
     :class:`ExperimentSpec` instance (ad-hoc specs need not be
     registered).  ``options`` overrides the spec's defaults.  ``jobs``
     is the worker-process count (1 = in-process serial; results are
-    bit-identical either way).  ``checkpoint``/``resume`` stream and
-    recover per-task results as JSONL.  ``max_tasks`` bounds how many
-    *pending* tasks this invocation runs — an intentionally partial
-    run returns ``completed=False`` with ``result=None`` and can be
-    finished later with ``resume=True``.
+    bit-identical either way).  ``checkpoint``/``resume`` append and
+    recover per-task results (docs/EXPERIMENT_ENGINE.md, "Checkpoint
+    schema"); a run without ``resume`` starts the file over.
+    ``max_tasks`` bounds how many *pending* tasks this invocation runs
+    — an intentionally partial run returns ``completed=False`` with
+    ``result=None`` and can be finished later with ``resume=True``.
 
     ``progress`` is a ``callback(done_count, total, outcome)`` — a
     plain callable, or a
@@ -643,17 +626,17 @@ def run_experiment(
     if max_tasks is not None:
         pending = pending[: max(0, max_tasks)]
 
-    writer = None
-    if checkpoint:
-        writer = _CheckpointWriter(checkpoint, append=bool(done))
-        if not done:
-            writer.write(
-                "header",
-                version=CHECKPOINT_VERSION,
-                experiment=spec.name,
-                tasks=len(tasks),
-                fingerprint=_fingerprint(spec.name, tasks),
-            )
+    if checkpoint and not done:
+        open(checkpoint, "wb").close()  # a fresh run starts the log over
+        append_entry(
+            checkpoint,
+            {
+                "type": "experiment-created",
+                "experiment": spec.name,
+                "tasks": len(tasks),
+                "fingerprint": _fingerprint(spec.name, tasks),
+            },
+        )
 
     effective_jobs = max(1, min(jobs, len(pending))) if pending else 1
     pooled = "fork" in multiprocessing.get_all_start_methods() and (
@@ -690,17 +673,20 @@ def run_experiment(
         finished += 1
         if outcome.error is not None:
             failures += 1
-        elif writer is not None:
+        elif checkpoint:
             # Failed tasks stay out of the checkpoint so --resume
             # retries exactly them.
-            writer.write(
-                "task",
-                key=outcome.key,
-                seed=outcome.seed,
-                host_seconds=round(outcome.host_seconds, 6),
-                data=outcome.data,
-                metrics=outcome.metrics,
-                retries=outcome.retries,
+            append_entry(
+                checkpoint,
+                {
+                    "type": "task-done",
+                    "key": outcome.key,
+                    "seed": outcome.seed,
+                    "host_seconds": round(outcome.host_seconds, 6),
+                    "data": outcome.data,
+                    "metrics": outcome.metrics,
+                    "retries": outcome.retries,
+                },
             )
         if progress is not None:
             progress(finished, total, outcome)
@@ -729,8 +715,6 @@ def run_experiment(
             session.finish(completed=False)
         raise
     finally:
-        if writer is not None:
-            writer.close()
         if session is not None:
             # Disarm the parent's emitters before the reduce;
             # ``session.finish`` below is a no-op repeat.

@@ -70,14 +70,3 @@ def sweep_chart(result, height=12):
         y_label="miss rate",
         height=height,
     )
-
-
-def figure5_chart(result, height=12):
-    """Chart a :class:`Figure5Result` (missing points = no flip)."""
-    return ascii_chart(
-        {result.machine: result.series},
-        title="Figure 5 (absent points: no flip observed)",
-        x_label="NOP padding",
-        y_label="seconds to first flip",
-        height=height,
-    )

@@ -3,9 +3,8 @@
 Each runner's result object derives from :class:`ExperimentResult` and
 implements two things: ``render()`` (the human-readable rows/series the
 paper reports) and ``to_rows()`` (a ``(header, rows)`` pair).  CSV
-export is then one shared code path — ``result.write_csv(path)`` —
-instead of one hand-written writer per result shape (the old writers in
-:mod:`repro.analysis.export` survive as thin wrappers over this).
+export is then one shared code path — ``result.write_csv(path_or_file)``
+— instead of one hand-written writer per result shape.
 """
 
 import csv

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.chaos import profile_seed
-from repro.errors import ConfigError
 from repro.utils.rng import hash_to_unit
 
 #: Where a ``kill`` fires inside the worker.
@@ -61,23 +60,6 @@ class FaultRule:
     probability: float = 1.0
     hang_seconds: float = 3600.0
 
-    def validate(self):
-        if self.kind not in KINDS:
-            raise ConfigError(
-                "fault rule kind %r is unknown (known: %s)"
-                % (self.kind, ", ".join(KINDS))
-            )
-        if self.point not in POINTS:
-            raise ConfigError(
-                "fault rule point %r is unknown (known: %s)"
-                % (self.point, ", ".join(POINTS))
-            )
-        if not 0.0 <= self.probability <= 1.0:
-            raise ConfigError("fault rule probability must be in [0, 1]")
-        if self.attempts is not None and self.attempts < 1:
-            raise ConfigError("fault rule attempts must be >= 1 or null")
-        return self
-
 
 @dataclass
 class FaultPlan:
@@ -89,22 +71,15 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload):
-        if not isinstance(payload, dict):
-            raise ConfigError(
-                "fault plan must be a JSON object, got %s" % type(payload).__name__
-            )
-        unknown = sorted(set(payload) - {"rules", "seed"})
-        if unknown:
-            raise ConfigError("fault plan has unknown keys: %s" % unknown)
-        rules = []
-        for rule in payload.get("rules", []):
-            if not isinstance(rule, dict):
-                raise ConfigError("fault rule must be a JSON object")
-            try:
-                rules.append(FaultRule(**rule).validate())
-            except TypeError as exc:
-                raise ConfigError("fault rule is malformed: %s" % exc)
-        return cls(rules=rules, seed=payload.get("seed"))
+        """Build a plan from a spec's ``faults`` section, checked first by
+        :func:`repro.campaign.spec.check_faults` (a ConfigError)."""
+        from repro.campaign.spec import check_faults  # spec imports this module
+
+        check_faults(payload)
+        return cls(
+            rules=[FaultRule(**rule) for rule in payload.get("rules", [])],
+            seed=payload.get("seed"),
+        )
 
     # -- decisions --------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Every state transition of a campaign — creation, supervisor start,
 shard attempts and completions, quarantines, degradations, pauses, the
-final verdict — is one flushed-and-fsynced JSON line in
+final verdict — is one fsynced JSON line in
 ``.repro/campaigns/<id>/journal.jsonl``.  The journal is the *only*
 authority on campaign state: ``repro campaign resume`` after a
 ``kill -9`` replays it and continues exactly where the dead supervisor
@@ -12,20 +12,15 @@ byte-identical to an uninterrupted run.
 
 Single-writer discipline: only the supervisor process appends (workers
 persist their results to per-shard files the supervisor folds in), so
-lines never interleave.  A crash can still tear the *final* line, which
-:func:`replay` skips through the reader the experiment engine's
-checkpoints share (:func:`~repro.utils.serialize.read_json_lines`);
-damage before intact lines raises :class:`~repro.errors.CampaignError`.
+lines never interleave.  The journal is the log format the experiment
+engine's checkpoints share (:mod:`repro.utils.serialize`): an entry
+counts once its newline is on disk, :func:`replay` skips the
+unterminated tail a crash leaves, and the next append cuts that tail
+off.  A damaged committed line raises :class:`~repro.errors.CampaignError`.
 """
 
-import json
-import os
-
 from repro.errors import CampaignError
-from repro.utils.serialize import read_json_lines
-
-#: Bump when the journal line format changes incompatibly.
-JOURNAL_VERSION = 1
+from repro.utils.serialize import append_entry, replay_entries
 
 #: Campaign lifecycle states.
 CREATED = "created"
@@ -65,51 +60,24 @@ def check_transition(current, target):
 
 
 class CampaignJournal:
-    """Appends journal entries, each flushed and fsynced whole."""
+    """Appends journal entries, each fsynced whole."""
 
     def __init__(self, path):
         self.path = path
 
     def append(self, entry):
-        """Durably append one entry (adds the version field)."""
-        entry = dict(entry)
-        entry.setdefault("v", JOURNAL_VERSION)
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        return entry
+        """Durably append one entry; returns it with its version field."""
+        return append_entry(self.path, entry)
 
 
 def replay(path):
     """Read a journal back as a list of entries.
 
-    Skips a torn *final* line (a killed supervisor, or an injected tail
-    truncation); damage anywhere earlier raises, because acknowledged
-    state must never be silently dropped.
+    Skips an unterminated final line (a killed supervisor, or an
+    injected tail truncation); a damaged committed line raises, because
+    acknowledged state must never be silently dropped.
     """
-    if not os.path.exists(path):
-        raise CampaignError("no campaign journal at %s" % path)
-    damaged = lambda number: CampaignError(
-        "campaign journal %s line %d is corrupt but followed by "
-        "intact lines; the file was damaged after writing — "
-        "restore it from backup" % (path, number)
-    )
-    entries = []
-    for number, entry in read_json_lines(path, damaged):
-        if not isinstance(entry, dict):
-            raise CampaignError(
-                "campaign journal %s line %d is not an object" % (path, number)
-            )
-        if entry.get("v") != JOURNAL_VERSION:
-            raise CampaignError(
-                "campaign journal %s line %d has version %r; this build "
-                "reads version %d"
-                % (path, number, entry.get("v"), JOURNAL_VERSION)
-            )
-        entries.append(entry)
-    return entries
+    return replay_entries(path, "campaign journal", CampaignError)
 
 
 def fold(entries):

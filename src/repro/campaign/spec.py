@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional
 
 import repro.core.pthammer  # noqa: F401 — breaks the patterns<->core import cycle
 from repro.analysis.engine import derive_seed
+from repro.campaign.faultinject import KINDS, POINTS
 from repro.chaos import CHAOS_PROFILES
 from repro.defenses import DEFENSE_PRESETS
 from repro.errors import ConfigError
@@ -78,6 +79,19 @@ ATTACK_KNOBS = {
 }
 
 
+#: The fields of a ``faults`` rule (:mod:`repro.campaign.faultinject`)
+#: besides its ``kind``, with the rule for each value.
+FAULT_RULE_FIELDS = {
+    "match": ("a string", lambda v: isinstance(v, str)),
+    "attempts": (
+        "an integer >= 1 or null", lambda v: v is None or (_is_int(v) and v >= 1)
+    ),
+    "point": ("one of %s" % ", ".join(POINTS), lambda v: v in POINTS),
+    "probability": ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
+    "hang_seconds": _SECONDS,
+}
+
+
 def _require(what, value, rule):
     """Raise a ConfigError naming ``what`` unless ``value`` passes ``rule``."""
     wanted, test = rule
@@ -85,6 +99,38 @@ def _require(what, value, rule):
         raise ConfigError(
             "campaign spec %s must be %s, got %r" % (what, wanted, value)
         )
+
+
+def check_faults(faults):
+    """Type-check a spec's ``faults`` section: its ``rules``, its
+    ``seed`` and every field of every rule."""
+    _require("faults", faults, ("an object", lambda v: isinstance(v, dict)))
+    unknown = sorted(set(faults) - {"rules", "seed"})
+    if unknown:
+        raise ConfigError("campaign spec faults has unknown keys: %s" % unknown)
+    _require("faults.seed", faults.get("seed"), (
+        "an integer or null", lambda v: v is None or _is_int(v),
+    ))
+    rules = faults.get("rules", [])
+    _require("faults.rules", rules, (
+        "a list of objects",
+        lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    ))
+    for index, rule in enumerate(rules):
+        where = "faults.rules[%d]" % index
+        unknown = sorted(set(rule) - set(FAULT_RULE_FIELDS) - {"kind"})
+        if unknown:
+            raise ConfigError(
+                "campaign spec %s has unknown keys: %s" % (where, unknown)
+            )
+        if rule.get("kind") not in KINDS:
+            raise ConfigError(
+                "campaign spec %s.kind %r is unknown (known: %s)"
+                % (where, rule.get("kind"), ", ".join(KINDS))
+            )
+        for name, value in rule.items():
+            if name != "kind":
+                _require("%s.%s" % (where, name), value, FAULT_RULE_FIELDS[name])
 
 
 @dataclass(frozen=True)
@@ -269,9 +315,7 @@ class CampaignSpec:
             _require("attack." + name, value, ATTACK_KNOBS[name])
         self.supervisor.validate()
         if self.faults is not None:
-            from repro.campaign.faultinject import FaultPlan
-
-            FaultPlan.from_dict(self.faults)  # construction validates
+            check_faults(self.faults)
         return self
 
     # -- serialisation ----------------------------------------------------

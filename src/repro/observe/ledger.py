@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
+from repro.utils.serialize import write_json_atomic
 
 #: Bump when the record schema changes incompatibly.
 LEDGER_SCHEMA_VERSION = 1
@@ -291,11 +292,7 @@ class RunLedger:
         path = self.path(record.run_id)
         if os.path.exists(path):
             raise ConfigError("run %s is already recorded at %s" % (record.run_id, path))
-        temp = path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(record.to_json(), handle, sort_keys=True, indent=1)
-            handle.write("\n")
-        os.replace(temp, path)
+        write_json_atomic(path, record.to_json(), indent=1)
         return path
 
     def run_ids(self):

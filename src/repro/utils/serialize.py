@@ -1,4 +1,4 @@
-"""JSON helpers: lossless packing of state trees, torn-tail-tolerant JSONL.
+"""JSON helpers: lossless packing of state trees, the one durable log format.
 
 JSON has neither tuples nor non-string dict keys, but component
 ``state_dict()`` payloads use both: TLB tags are ``(as_id, vpn)``
@@ -14,8 +14,13 @@ Dict iteration order survives both directions (plain dicts via JSON
 object order, pair lists positionally), which matters for LRU
 structures whose ordering *is* state.
 
-:func:`read_json_lines` reads the append-only JSONL files the
-experiment engine's checkpoints and the campaign journal are made of;
+The experiment engine's checkpoints and the campaign journal are one
+log format, written only by :func:`append_entry` and read only by
+:func:`replay_entries`: one sorted-key JSON object per line, each with
+the format version ``v`` and a ``type``.  An entry is committed once
+its newline is on disk.  Replay skips an unterminated tail, whether or
+not it parses, and the append cuts that tail off before it writes, so
+a crash mid-append costs only the entry being written.
 :func:`write_json_atomic` writes the documents readers must never see
 half-written (snapshots, shard results, campaign reports).
 """
@@ -55,29 +60,69 @@ def unpack(value):
     return value
 
 
-def read_json_lines(path, damaged):
-    """Parse a JSON-lines file that a crash may have cut short.
+#: The log format version every journal line carries as ``v``.
+JOURNAL_VERSION = 1
 
-    Returns ``[(line number, value)]`` for every non-blank line.  A
-    last line that does not parse is a write the crash tore, and is
-    skipped; one with intact lines after it means the file was damaged
-    after writing, and raises ``damaged(line number)``.  Lines are read
-    as bytes, so one that is not UTF-8 is one more unparsable line.
+
+def append_entry(path, entry):
+    """Durably append ``entry`` to the log at ``path``; returns the entry
+    as written, with its version field.
+
+    Any unterminated tail a crash left is cut off first, so the entry
+    starts on a line of its own; the write is fsynced before returning.
+    Only one process may append to a log at a time.
     """
-    with open(path, "rb") as handle:
-        lines = [
-            (number, line)
-            for number, line in enumerate(handle.read().splitlines(), 1)
-            if line.strip()
-        ]
-    parsed = []
-    for number, line in lines:
+    entry = dict(entry, v=JOURNAL_VERSION)
+    line = json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n"
+    with open(path, "a+b") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size:
+            handle.seek(size - 1)
+            if handle.read(1) != b"\n":  # a crash cut the last append short
+                handle.seek(0)
+                handle.truncate(handle.read().rfind(b"\n") + 1)
+        handle.write(line)
+        handle.flush()
+        os.fsync(handle.fileno())
+    return entry
+
+
+def replay_entries(path, what, error):
+    """Read back every committed entry of the log at ``path``, in order.
+
+    The bytes after the last newline are an append a crash cut short,
+    and are skipped.  A committed line that is not a JSON object of
+    this format version means the file was damaged or written by
+    another format, and raises ``error`` naming ``what`` (e.g.
+    ``"checkpoint"``), the file and the line; so does a missing file.
+    Lines are read as bytes, so one that is not UTF-8 is corrupt too.
+    """
+    try:
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")[:-1]
+    except FileNotFoundError:
+        raise error("no %s at %s" % (what, path))
+    entries = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
         try:
-            parsed.append((number, json.loads(line)))
+            entry = json.loads(line)
         except ValueError:
-            if number != lines[-1][0]:
-                raise damaged(number)
-    return parsed
+            raise error(
+                "%s %s line %d is corrupt (not valid JSON); the file was "
+                "damaged after writing — restore it, or start afresh"
+                % (what, path, number)
+            )
+        if not isinstance(entry, dict):
+            raise error("%s %s line %d is not an object" % (what, path, number))
+        if entry.get("v") != JOURNAL_VERSION:
+            raise error(
+                "%s %s line %d has version %r; this build reads version %d"
+                % (what, path, number, entry.get("v"), JOURNAL_VERSION)
+            )
+        entries.append(entry)
+    return entries
 
 
 def write_json_atomic(path, payload, indent=None):

@@ -1,4 +1,6 @@
-"""CSV export of experiment results."""
+"""CSV export of experiment results: ``result.write_csv`` on a path or a file."""
+
+import io
 
 import pytest
 
@@ -11,21 +13,19 @@ from repro.analysis.experiments import (
     Table2Result,
     Table2Row,
 )
-from repro.analysis.export import (
-    to_csv_string,
-    write_defense_matrix_csv,
-    write_figure5_csv,
-    write_figure6_csv,
-    write_sweep_csv,
-    write_table2_csv,
-)
 from repro.errors import ConfigError
+
+
+def csv_text(result):
+    buffer = io.StringIO()
+    result.write_csv(buffer)
+    return buffer.getvalue()
 
 
 def test_sweep_csv(tmp_path):
     result = EvictionSweepResult("f", {"m1": {12: 0.9, 8: 0.5}, "m2": {12: 1.0}})
     path = str(tmp_path / "sweep.csv")
-    assert write_sweep_csv(result, path) == 3
+    assert result.write_csv(path) == 3
     lines = open(path).read().splitlines()
     assert lines[0] == "machine,size,miss_rate"
     assert "m1,8,0.5" in lines
@@ -33,12 +33,12 @@ def test_sweep_csv(tmp_path):
 
 def test_sweep_csv_rejects_empty():
     with pytest.raises(ConfigError):
-        write_sweep_csv(EvictionSweepResult("f", {}), "/dev/null")
+        EvictionSweepResult("f", {}).write_csv("/dev/null")
 
 
 def test_figure5_csv_handles_none():
     result = Figure5Result("m", {0: 0.5, 800: None}, cliff_cycles=2000)
-    text = to_csv_string(write_figure5_csv, result)
+    text = csv_text(result)
     lines = text.splitlines()
     assert lines[1] == "0,0.5"
     assert lines[2] == "800,"
@@ -46,14 +46,14 @@ def test_figure5_csv_handles_none():
 
 def test_figure6_csv():
     result = Figure6Result("m", "super", [100, 110, 105])
-    text = to_csv_string(write_figure6_csv, result)
+    text = csv_text(result)
     assert text.splitlines()[1] == "m,super,0,100"
     assert len(text.splitlines()) == 4
 
 
 def test_table2_csv():
     row = Table2Row("m", "superpage", 0.001, 0.5, 1e-6, 0.01, 0.02, 0.1, None)
-    text = to_csv_string(write_table2_csv, Table2Result([row]))
+    text = csv_text(Table2Result([row]))
     assert text.splitlines()[1].endswith(",")  # empty first-flip column
 
 
@@ -69,5 +69,5 @@ def test_defense_matrix_csv():
         first_flip_s=0.01,
         host_seconds=1.0,
     )
-    text = to_csv_string(write_defense_matrix_csv, DefenseMatrixResult("m", [result]))
+    text = csv_text(DefenseMatrixResult("m", [result]))
     assert "catt,1,l1pt,8,1,0,44" in text

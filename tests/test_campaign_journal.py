@@ -1,8 +1,15 @@
-"""The campaign WAL: append, replay, torn tails, fold, transitions."""
+"""The campaign WAL: append, replay, torn tails, fold, transitions.
+
+The commit rule is shared with the experiment engine's checkpoints,
+which use the same append and replay (:mod:`repro.utils.serialize`).
+"""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.campaign import (
     CampaignJournal,
@@ -16,7 +23,8 @@ from repro.campaign import (
     fold,
     replay,
 )
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ConfigError
+from repro.utils.serialize import append_entry, replay_entries
 
 
 @pytest.fixture
@@ -39,6 +47,54 @@ def test_replay_tolerates_a_torn_final_line(journal):
         handle.write('{"type": "shard-done", "key": "k", "da')  # torn write
     entries = replay(journal.path)
     assert len(entries) == 2
+
+
+#: (append, replay) of each log: the campaign journal and the engine's
+#: experiment checkpoints.
+LOGS = {
+    "campaign journal": (
+        lambda path, entry: CampaignJournal(path).append(entry),
+        replay,
+    ),
+    "checkpoint": (
+        append_entry,
+        lambda path: replay_entries(path, "checkpoint", ConfigError),
+    ),
+}
+
+_ENTRIES = st.lists(
+    st.fixed_dictionaries(
+        {"type": st.text(max_size=8)},
+        optional={"data": st.one_of(st.integers(), st.text(max_size=20))},
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=st.sampled_from(sorted(LOGS)), entries=_ENTRIES, torn=st.integers(0))
+@example(log="checkpoint", entries=[{"type": "a"}, {"type": "b"}], torn=1)
+@example(log="campaign journal", entries=[{"type": "a"}], torn=1)
+def test_any_cut_replays_the_committed_entries_then_appends_cleanly(
+    log, entries, torn
+):
+    append, read = LOGS[log]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "log.jsonl")
+        open(path, "wb").close()
+        written = [append(path, entry) for entry in entries]
+        with open(path, "rb") as handle:
+            data = handle.read()
+        # Tear ``torn`` bytes off the end, as ``truncate -s -N`` would:
+        # 1 leaves the last entry whole but without its newline.
+        cut = len(data) - torn % (len(data) + 1)
+        with open(path, "r+b") as handle:
+            handle.truncate(cut)
+        # An entry counts once its newline is on disk.
+        committed = written[: data[:cut].count(b"\n")]
+        assert read(path) == committed
+        new = append(path, {"type": "after-cut"})
+        assert read(path) == committed + [new]
 
 
 def test_replay_rejects_mid_file_damage(journal):

@@ -24,6 +24,7 @@ from repro.campaign import (
     Supervisor,
     truncate_journal,
 )
+from repro.cli import main
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -175,6 +176,10 @@ def test_torn_journal_tail_is_absorbed_on_resume():
     state = Supervisor(baseline).run(no_record=True)
     assert state == COMPLETED
     assert results_bytes(baseline) == finished
+    # The resume's first append cut the torn tail off, so every later
+    # reader replays the journal clean.
+    assert baseline.folded()["state"] == COMPLETED
+    assert main(["campaign", "status", "torn"]) == 0
 
 
 def test_deep_truncation_only_recomputes_lost_shards():

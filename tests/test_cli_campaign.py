@@ -136,6 +136,15 @@ def test_bad_spec_and_unknown_campaign_are_clean_errors(tmp_path, capsys):
             {"supervisor": {"liveness_timeout": "abc"}}, id="timeout-as-string"
         ),
         pytest.param({"supervisor": {"jobs": 1.5}}, id="fractional-jobs"),
+        pytest.param({"faults": {"rules": 5}}, id="fault-rules-as-number"),
+        pytest.param(
+            {"faults": {"rules": [{"kind": "kill", "attempts": "2"}]}},
+            id="fault-attempts-as-string",
+        ),
+        pytest.param(
+            {"faults": {"rules": [{"kind": "hang", "hang_seconds": "x"}]}},
+            id="hang-seconds-as-string",
+        ),
     ],
 )
 def test_mistyped_spec_exits_2_before_any_campaign_exists(

@@ -3,8 +3,11 @@
 Each spec declares tiny-scale ``smoke_argv``; this suite runs
 ``python -m repro <experiment> <smoke_argv> --jobs 2`` for every name
 in the registry, so an experiment that drifts out of the registry, the
-CLI wiring, or the engine breaks loudly here.
+CLI wiring, or the engine breaks loudly here.  ``--checkpoint`` and
+``--resume`` are driven the same way, over intact and damaged files.
 """
+
+import json
 
 import pytest
 
@@ -32,3 +35,57 @@ def test_smoke_checkpoint_resume_through_cli(tmp_path, capsys):
     assert main(argv + ["--checkpoint", path, "--resume"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+#: figure3 on the three scaled machines: three tasks, well under a second.
+TORN_ARGV = ["figure3", "--sizes", "8-12", "--trials", "5"]
+
+
+def test_resume_after_a_torn_checkpoint_twice_prints_the_fresh_run(
+    tmp_path, capsys
+):
+    path = tmp_path / "ck.jsonl"
+    argv = TORN_ARGV + ["--checkpoint", str(path)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    header, first, second = path.read_bytes().split(b"\n")[:3]
+    path.write_bytes(header + b"\n" + first + b"\n" + second[:60])
+    # The first resume must not append onto the torn bytes, or the
+    # second one reads a corrupt line before intact ones.
+    for _ in range(2):
+        assert main(argv + ["--resume"]) == 0
+        assert capsys.readouterr().out == fresh
+
+
+#: A header as checkpoints were written before they shared the campaign
+#: journal's format: ``kind`` and ``version``, no ``v``.
+OLD_HEADER = json.dumps(
+    {"experiment": "figure3", "fingerprint": "3301cc9b88a7deec",
+     "kind": "header", "tasks": 3, "version": 1},
+    sort_keys=True,
+).encode()
+
+
+@pytest.mark.parametrize(
+    "line, replaces, message",
+    [
+        (b"[1, 2]", False, "line 2 is not an object"),
+        (OLD_HEADER, True, "line 1 has version None"),
+    ],
+    ids=["non-object-line", "pre-journal-header"],
+)
+def test_unreadable_checkpoint_line_is_one_repro_line(
+    tmp_path, capsys, line, replaces, message
+):
+    path = tmp_path / "ck.jsonl"
+    argv = TORN_ARGV + ["--checkpoint", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    header, rest = path.read_bytes().split(b"\n", 1)
+    kept = [line] if replaces else [header, line]
+    path.write_bytes(b"\n".join(kept + [rest]))
+    assert main(argv + ["--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: checkpoint %s " % path)
+    assert message in captured.err and captured.err.count("\n") == 1

@@ -156,7 +156,7 @@ def test_checkpoint_write_and_load(tmp_path):
     run_experiment(_spec(), checkpoint=path)
     header, records = load_checkpoint(path)
     assert header["experiment"] == "toy"
-    assert header["tasks"] == 4 and header["version"] == 1
+    assert header["tasks"] == 4 and header["v"] == 1
     assert set(records) == {"0", "1", "2", "3"}
     assert records["3"]["data"] == 30
 
@@ -183,7 +183,7 @@ def test_resume_tolerates_torn_trailing_line(tmp_path):
     path = str(tmp_path / "toy.jsonl")
     run_experiment(_spec(), checkpoint=path, max_tasks=3)
     with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"kind": "task", "key": "3", "da')  # killed mid-write
+        handle.write('{"type": "task-done", "key": "3", "da')  # killed mid-write
     resumed = run_experiment(_spec(), checkpoint=path, resume=True)
     assert resumed.completed and resumed.tasks_resumed == 3
 
@@ -192,7 +192,7 @@ def test_corrupt_non_trailing_line_is_an_error_naming_the_line(tmp_path):
     path = str(tmp_path / "toy.jsonl")
     run_experiment(_spec(), checkpoint=path, max_tasks=3)
     lines = open(path, encoding="utf-8").read().splitlines()
-    lines[2] = '{"kind": "task", "key": "1", "da'  # damaged mid-file
+    lines[2] = '{"type": "task-done", "key": "1", "da'  # damaged mid-file
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=r"line 3 is corrupt") as excinfo:
@@ -201,6 +201,18 @@ def test_corrupt_non_trailing_line_is_an_error_naming_the_line(tmp_path):
     # The same error must surface through a resume attempt.
     with pytest.raises(ConfigError, match="corrupt"):
         run_experiment(_spec(), checkpoint=path, resume=True)
+
+
+def test_resume_reruns_a_task_line_without_a_string_key(tmp_path):
+    path = str(tmp_path / "toy.jsonl")
+    run_experiment(_spec(), checkpoint=path, max_tasks=2)
+    with open(path, "a", encoding="utf-8") as handle:
+        for key in ([2], None):
+            entry = {"type": "task-done", "v": 1, "key": key, "data": 20}
+            handle.write(json.dumps(entry) + "\n")
+    resumed = run_experiment(_spec(), checkpoint=path, resume=True)
+    assert resumed.completed and resumed.tasks_resumed == 2
+    assert resumed.result == 60
 
 
 def test_resume_rejects_wrong_experiment(tmp_path):
@@ -222,7 +234,9 @@ def test_resume_rejects_changed_task_list(tmp_path):
 def test_load_checkpoint_requires_header(tmp_path):
     path = str(tmp_path / "toy.jsonl")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"kind": "task", "key": "0", "data": 1}) + "\n")
+        handle.write(
+            json.dumps({"type": "task-done", "key": "0", "data": 1, "v": 1}) + "\n"
+        )
     with pytest.raises(ConfigError, match="no header"):
         load_checkpoint(path)
 

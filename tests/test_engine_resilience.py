@@ -87,7 +87,7 @@ def test_keep_going_failures_are_retried_by_resume(tmp_path):
     records = [
         json.loads(line)
         for line in checkpoint.read_text().splitlines()
-        if json.loads(line).get("kind") == "task"
+        if json.loads(line).get("type") == "task-done"
     ]
     assert sorted(record["key"] for record in records) == ["a", "c"]
     healed["healed"] = True
@@ -145,7 +145,7 @@ def test_task_timeout_kills_a_task_stuck_in_one_c_call(jobs, tmp_path):
     # Handled as any worker death: kept out of the checkpoint, and
     # written to the spool as the dead worker's failed task.
     records = [json.loads(line) for line in checkpoint.read_text().splitlines()]
-    assert [r["key"] for r in records if r["kind"] == "task"] == ["a", "c"]
+    assert [r["key"] for r in records if r["type"] == "task-done"] == ["a", "c"]
     assert (outcome.telemetry["totals"]["tasks"],
             outcome.telemetry["totals"]["errors"]) == (3, 1)
     assert multiprocessing.active_children() == []
